@@ -30,7 +30,10 @@ type Report struct {
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
 	CPUs   int    `json:"cpus"`
-	Quick  bool   `json:"quick"`
+	// GOMAXPROCS is the scheduler parallelism the run actually had, which
+	// differs from CPUs (runtime.NumCPU) under GOMAXPROCS=1 or a CPU quota.
+	GOMAXPROCS int  `json:"gomaxprocs"`
+	Quick      bool `json:"quick"`
 
 	Networks []NetworkResult `json:"networks"`
 	Engine   []EngineResult  `json:"engine"`
@@ -226,14 +229,15 @@ func defaultConfig(m int, families []string, workers []int, quick bool) benchCon
 // runBench measures every configured family and sweep at order cfg.m.
 func runBench(cfg benchConfig) (Report, error) {
 	rep := Report{
-		Schema: "bnbbench/v6",
-		M:      cfg.m,
-		N:      1 << uint(cfg.m),
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-		Quick:  cfg.quick,
+		Schema:     "bnbbench/v6",
+		M:          cfg.m,
+		N:          1 << uint(cfg.m),
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Quick:      cfg.quick,
 	}
 	for _, family := range cfg.families {
 		nr, err := benchNetwork(family, cfg)

@@ -149,6 +149,7 @@ func TestValidateRejections(t *testing.T) {
 			return r
 		}()), "out of order"},
 		{"empty stamp", marshal(func() Report { r := rep; r.Go = ""; return r }()), "machine stamp"},
+		{"no gomaxprocs", marshal(func() Report { r := rep; r.GOMAXPROCS = 0; return r }()), "machine stamp"},
 		{"replay above compile", marshal(func() Report {
 			r := rep
 			r.Plan.ReplayNsPerOp = r.Plan.CompileNsPerOp + 1

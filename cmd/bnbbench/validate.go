@@ -36,9 +36,9 @@ func checkReport(rep Report) error {
 	if rep.M < 1 || rep.N != 1<<uint(rep.M) {
 		return fmt.Errorf("m = %d with n = %d; want n = 2^m", rep.M, rep.N)
 	}
-	if rep.Go == "" || rep.GOOS == "" || rep.GOARCH == "" || rep.CPUs < 1 {
-		return fmt.Errorf("incomplete machine stamp: go=%q goos=%q goarch=%q cpus=%d",
-			rep.Go, rep.GOOS, rep.GOARCH, rep.CPUs)
+	if rep.Go == "" || rep.GOOS == "" || rep.GOARCH == "" || rep.CPUs < 1 || rep.GOMAXPROCS < 1 {
+		return fmt.Errorf("incomplete machine stamp: go=%q goos=%q goarch=%q cpus=%d gomaxprocs=%d",
+			rep.Go, rep.GOOS, rep.GOARCH, rep.CPUs, rep.GOMAXPROCS)
 	}
 	seen := map[string]bool{}
 	for _, nr := range rep.Networks {

@@ -21,6 +21,7 @@ package arbiter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/wiring"
 )
@@ -226,4 +227,79 @@ func (t *Tree) FlagsGateLevel(bits []uint8) (flags []uint8, gates int, err error
 // realization.
 func (t *Tree) TotalGates() int {
 	return t.Nodes() * GatesPerNode
+}
+
+// laneBit[s] has bit t set exactly when bit s of the lane index t is set:
+// within one uint64 of pair lanes, the lanes whose tree-level-(s+2)
+// ancestor sees them in its lower child.
+var laneBit = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// ControlsPacked computes the switch settings of a whole column of sp(p)
+// splitters in closed form, 64 switches per word, without walking the tree.
+// Switch (pair) t of the column is lane t&63 of word t>>6: a holds its
+// upper input bit A, b its lower input bit B, and ctl receives its control
+// — the same bits, box by box, as Flags and the splitter's rule
+// control = A XOR flag(2t). The column's boxes are the aligned runs of
+// 2^{p-1} pairs; pairs counts the real lanes (lanes past it must be zero).
+// work needs 2·len(a) words.
+//
+// With u = A XOR B, the pair's level-1 node self-generates (flag 0 to A)
+// when u = 0; otherwise A inherits the flag of the pair's nearest ancestor
+// at a level v >= 2 whose block parity is 0, which sends 0 to its upper
+// child and 1 to its lower child — bit v-2 of t. So
+// control = A XOR (u AND flag), and every level's block parities follow
+// from u by shift-XOR partner swaps: within a word for blocks up to 64
+// pairs, across words beyond.
+//
+// The return value is the first pair whose box violates the splitter
+// precondition (odd 1-count for p >= 2; equal inputs for p = 1), or -1.
+// Boxes that violate it get unspecified controls.
+func ControlsPacked(ctl, a, b, work []uint64, p, pairs int) int {
+	levels := p - 1 // tree levels v = 2..p, indexed s = v-2
+	par, done := work[:len(a)], work[len(a):2*len(a)]
+	for w := range a {
+		par[w], ctl[w], done[w] = a[w]^b[w], 0, 0
+		for s := 0; s < levels && s < 6; s++ {
+			d := uint(1) << uint(s)
+			par[w] ^= par[w]&laneBit[s]>>d | par[w]&^laneBit[s]<<d
+			gen := ^par[w] &^ done[w]
+			ctl[w] |= gen & laneBit[s]
+			done[w] |= gen
+		}
+	}
+	for s := 6; s < levels; s++ {
+		span := 1 << uint(s-6) // partner distance in words
+		for w := range par {
+			if w&span == 0 {
+				x := par[w] ^ par[w|span]
+				par[w], par[w|span] = x, x
+			}
+		}
+		for w := range par {
+			gen := ^par[w] &^ done[w]
+			if w&span != 0 {
+				ctl[w] |= gen
+			}
+			done[w] |= gen
+		}
+	}
+	first := -1
+	for w := range a {
+		u := a[w] ^ b[w]
+		bad := par[w] // the root's block parity, for p >= 2
+		if p < 2 {
+			bad = ^u
+			if rest := pairs - 64*w; rest < 64 {
+				bad &= 1<<uint(rest) - 1
+			}
+		}
+		if bad != 0 && first < 0 {
+			first = 64*w + bits.TrailingZeros64(bad)
+		}
+		ctl[w] = a[w] ^ u&ctl[w]
+	}
+	return first
 }

@@ -55,7 +55,11 @@ type Network struct {
 	nested []gbn.Topology
 	// sps[p] is the shared splitter instance sp(p), 1 <= p <= m.
 	sps []*splitter.Splitter
-	// pool recycles per-route scratch (see scratch.go); it is the only
+	// cols is the flat netlist (netlist.go); colWords is the uint64 count of
+	// one column's N/2 switch bits.
+	cols     []column
+	colWords int
+	// pool recycles per-route scratch (see netlist.go); it is the only
 	// mutable field and is internally synchronized, preserving the
 	// concurrent-use contract.
 	pool sync.Pool
@@ -89,7 +93,8 @@ func New(m, w int) (*Network, error) {
 		}
 		sps[p] = sp
 	}
-	net := &Network{m: m, w: w, main: main, nested: nested, sps: sps}
+	net := &Network{m: m, w: w, main: main, nested: nested, sps: sps,
+		cols: netlist(m), colWords: (1<<uint(m-1) + 63) / 64}
 	net.pool.New = func() any { return newScratch(net) }
 	return net, nil
 }
@@ -103,28 +108,31 @@ func (n *Network) W() int { return n.w }
 // Inputs returns the number of network inputs N = 2^m.
 func (n *Network) Inputs() int { return 1 << uint(n.m) }
 
-// routeNested routes the words of one nested network NB(i,l): a GBN of order
-// m-i in which every internal box is a splitter decoding address bit i (the
-// BSN slice) whose controls drive the word as a whole.
-func (n *Network) routeNested(mainStage int, words []Word) ([]Word, error) {
-	nt := n.nested[mainStage]
+// routeNested routes the words of one nested network NB(i,l) — main box
+// (i,l) — box by box: a GBN of order m-i in which every internal box is a
+// splitter decoding address bit i (the BSN slice) whose controls drive the
+// word as a whole. ov, when non-nil, sees each box's controls as in
+// RouteIntoOverride. It is the per-box reference path the netlist
+// evaluator is tested against.
+func (n *Network) routeNested(mainBox gbn.Box, words []Word, ov Override) ([]Word, error) {
+	i := mainBox.Stage
+	nt := n.nested[i]
 	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
 		p := nt.BoxOrder(box.Stage)
 		bits := make([]uint8, len(in))
 		for j, wd := range in {
-			bits[j] = uint8(wiring.AddrBit(wd.Addr, mainStage, n.m))
+			bits[j] = uint8(wiring.AddrBit(wd.Addr, i, n.m))
 		}
 		controls, err := n.sps[p].Controls(bits)
 		if err != nil {
-			return nil, fmt.Errorf("splitter sp(%d) on address bit %d: %w", p, mainStage, err)
+			return nil, fmt.Errorf("splitter sp(%d) on address bit %d: %w", p, i, err)
+		}
+		if ov != nil {
+			ov(i, box.Stage, (mainBox.Index*nt.Inputs()+box.Index*len(in))/2, controls)
 		}
 		return splitter.Apply(controls, in)
 	})
-	out, err := gbn.Run[Word](nt, words, router)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return gbn.Run[Word](nt, words, router)
 }
 
 // Route self-routes the words to the network outputs. The destination
@@ -144,35 +152,30 @@ func (n *Network) Route(words []Word) ([]Word, error) {
 // it appears at the input of every main stage plus the final output
 // (Stages()+1 snapshots), for stage-by-stage inspection.
 func (n *Network) RouteTraced(words []Word) ([]Word, [][]Word, error) {
-	return n.route(words, true)
-}
-
-func (n *Network) route(words []Word, traced bool) ([]Word, [][]Word, error) {
-	if len(words) != n.Inputs() {
-		return nil, nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
-	}
-	addrs := make(perm.Perm, len(words))
-	for i, wd := range words {
-		addrs[i] = wd.Addr
-	}
-	if err := addrs.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("bnb: destination addresses are not a permutation: %w", err)
-	}
-	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
-		return n.routeNested(box.Stage, in)
-	})
-	if traced {
-		out, trace, err := gbn.RunTraced[Word](n.main, words, router)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bnb: %w", err)
-		}
-		return out, trace, nil
-	}
-	out, err := gbn.Run[Word](n.main, words, router)
+	addrs, err := n.checkWords(words)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bnb: %w", err)
+		return nil, nil, err
 	}
-	return out, nil, nil
+	sc := n.pool.Get().(*scratch)
+	defer n.pool.Put(sc)
+	for i, d := range addrs {
+		sc.inv[d], sc.cur[i] = int32(i), int32(d)
+	}
+	gatherWords := func(lines []int32) []Word {
+		out := make([]Word, len(lines))
+		for j, d := range lines {
+			out[j] = words[sc.inv[d]]
+		}
+		return out
+	}
+	trace := [][]Word{append([]Word(nil), words...)}
+	lines, err := n.eval(sc, true, nil, nil, func(lines []int32) {
+		trace = append(trace, gatherWords(lines))
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return gatherWords(lines), trace, nil
 }
 
 // RouteParallel behaves like Route but evaluates the nested networks of
@@ -181,6 +184,22 @@ func (n *Network) route(words []Word, traced bool) ([]Word, [][]Word, error) {
 // only simulation wall-clock changes — the hardware this simulates is
 // parallel either way.
 func (n *Network) RouteParallel(words []Word, workers int) ([]Word, error) {
+	if _, err := n.checkWords(words); err != nil {
+		return nil, err
+	}
+	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
+		return n.routeNested(box, in, nil)
+	})
+	out, err := gbn.RunParallel[Word](n.main, words, router, workers)
+	if err != nil {
+		return nil, fmt.Errorf("bnb: %w", err)
+	}
+	return out, nil
+}
+
+// checkWords validates a word vector for the allocating route paths: its
+// length, then that its addresses form a permutation, which it returns.
+func (n *Network) checkWords(words []Word) (perm.Perm, error) {
 	if len(words) != n.Inputs() {
 		return nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
 	}
@@ -191,14 +210,7 @@ func (n *Network) RouteParallel(words []Word, workers int) ([]Word, error) {
 	if err := addrs.Validate(); err != nil {
 		return nil, fmt.Errorf("bnb: destination addresses are not a permutation: %w", err)
 	}
-	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
-		return n.routeNested(box.Stage, in)
-	})
-	out, err := gbn.RunParallel[Word](n.main, words, router, workers)
-	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
-	}
-	return out, nil
+	return addrs, nil
 }
 
 // RoutePerm routes a bare permutation: input i carries destination p[i] and

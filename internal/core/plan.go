@@ -9,20 +9,17 @@ package core
 // rearrangeable networks (DESIGN.md §12): the compile costs one full BNB
 // route, and every replay costs a single gather over the wire map.
 //
-// The Plan supersedes Settings as the circuit-switched mode's recording:
-// Settings stores one bool per switch in nested per-column slices, while the
-// Plan packs the same decisions 64 per word and additionally carries the
-// wire map so the hot path never walks the stages at all. ReplayWired keeps
-// the stage-by-stage data path available as the slow reference the
-// differential tests compare the wire map against.
+// The Plan packs the switch decisions 64 per word — the arbiter's packed
+// control words are stored as computed — and carries the wire map so the
+// hot path never walks the columns at all. Settings is a view of a Plan.
+// ReplayWired keeps the column-by-column data path available as the slow
+// reference the differential tests compare the wire map against.
 
 import (
 	"fmt"
 
-	"repro/internal/gbn"
 	"repro/internal/neterr"
 	"repro/internal/perm"
-	"repro/internal/splitter"
 )
 
 // Plan is an immutable compiled switch-setting plan for one permutation: the
@@ -34,10 +31,11 @@ type Plan struct {
 	m int
 	// p is the compiled permutation: input i exits on output p[i].
 	p perm.Perm
-	// cols[colIndex(m,i,j)] is the bitset of nested column j in main stage i;
-	// bit k is the exchange state of global switch k of that column
-	// (0 <= k < N/2), packed 64 per word.
-	cols [][]uint64
+	// bits holds every column's bitset back to back: nested column j of
+	// main stage i occupies the colWords words from colIndex(m,i,j)·colWords,
+	// and bit k of it is the exchange state of global switch k of that
+	// column (0 <= k < N/2), packed 64 per word.
+	bits []uint64
 	// wire is the end-to-end wire map: wire[j] is the input index whose word
 	// exits on output j (wire[p[i]] == i).
 	wire []int32
@@ -60,6 +58,11 @@ func (pl *Plan) Perm() perm.Perm {
 	return out
 }
 
+// PermView returns the compiled permutation without copying. The plan is
+// immutable, so the view stays valid for the plan's lifetime; callers must
+// not modify it. The plan cache keys entries on it.
+func (pl *Plan) PermView() perm.Perm { return pl.p }
+
 // SwitchCount returns the number of recorded switch decisions,
 // (N/2)·(1/2)m(m+1) — the same count Settings.SwitchCount reports.
 func (pl *Plan) SwitchCount() int {
@@ -70,8 +73,8 @@ func (pl *Plan) SwitchCount() int {
 // k (0 <= k < N/2) in nested column j of main stage i — the Settings
 // coordinate system.
 func (pl *Plan) Control(i, j, k int) bool {
-	col := pl.cols[colIndex(pl.m, i, j)]
-	return col[k>>6]&(1<<uint(k&63)) != 0
+	stride := len(pl.bits) / (pl.m * (pl.m + 1) / 2)
+	return pl.bits[colIndex(pl.m, i, j)*stride+k>>6]&(1<<uint(k&63)) != 0
 }
 
 // Compile runs the self-routing control plane once for the permutation and
@@ -83,41 +86,42 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 	if len(p) != N {
 		return nil, fmt.Errorf("bnb: permutation length %d, want %d: %w", len(p), N, neterr.ErrBadSize)
 	}
+	sc := n.pool.Get().(*scratch)
+	defer n.pool.Put(sc)
+	sc.reset()
+	for i, d := range p {
+		if err := sc.admit(i, d); err != nil {
+			return nil, err
+		}
+	}
 	pl := &Plan{
 		m:    n.m,
-		p:    make(perm.Perm, N),
-		cols: make([][]uint64, n.m*(n.m+1)/2),
+		p:    p.Clone(),
+		bits: make([]uint64, len(n.cols)*n.colWords),
 		wire: make([]int32, N),
 	}
-	copy(pl.p, p)
-	words := int((uint(N)/2 + 63) / 64)
-	for c := range pl.cols {
-		pl.cols[c] = make([]uint64, words)
-	}
-	src := make([]Word, N)
-	for i, d := range p {
-		src[i] = Word{Addr: d, Data: uint64(i)}
-	}
-	dst := make([]Word, N)
-	record := func(mainStage, column, switchBase int, controls []bool) {
-		col := pl.cols[colIndex(n.m, mainStage, column)]
-		for t, exchange := range controls {
-			if exchange {
-				k := switchBase + t
-				col[k>>6] |= 1 << uint(k&63)
-			}
-		}
-	}
-	if err := n.routeInto(dst, src, record); err != nil {
+	lines, err := n.eval(sc, true, pl.bits, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	for j, wd := range dst {
-		if wd.Addr != j {
-			return nil, fmt.Errorf("bnb: internal error: compile pass misdelivered %d to %d", wd.Addr, j)
+	for j, d := range lines {
+		if int(d) != j {
+			return nil, fmt.Errorf("bnb: internal error: compile pass misdelivered %d to %d", d, j)
 		}
-		pl.wire[j] = int32(wd.Data)
+		pl.wire[j] = sc.inv[d]
 	}
 	return pl, nil
+}
+
+// checkPlan rejects a nil plan or one compiled for another order.
+func (n *Network) checkPlan(pl *Plan) error {
+	if pl == nil {
+		return fmt.Errorf("bnb: nil plan")
+	}
+	if pl.m != n.m {
+		return fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
+	}
+	return nil
 }
 
 // Replay routes src into dst along a compiled plan — pure wire-following,
@@ -127,11 +131,8 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 // may be the same slice as src (the replay then stages through pooled
 // scratch) but must not partially overlap it. Safe for concurrent use.
 func (n *Network) Replay(pl *Plan, dst, src []Word) error {
-	if pl == nil {
-		return fmt.Errorf("bnb: nil plan")
-	}
-	if pl.m != n.m {
-		return fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
+	if err := n.checkPlan(pl); err != nil {
+		return err
 	}
 	N := n.Inputs()
 	if len(src) != N {
@@ -148,9 +149,9 @@ func (n *Network) Replay(pl *Plan, dst, src []Word) error {
 	}
 	if &dst[0] == &src[0] {
 		sc := n.pool.Get().(*scratch)
-		copy(sc.next, src)
+		copy(sc.words, src)
 		for j, w := range pl.wire {
-			dst[j] = sc.next[w]
+			dst[j] = sc.words[w]
 		}
 		n.pool.Put(sc)
 		return nil
@@ -166,11 +167,8 @@ func (n *Network) Replay(pl *Plan, dst, src []Word) error {
 // assigned to input i — the pure data path, exactly what the hardware's
 // slaved slices do. It backs the deprecated circuit-switched Send.
 func (n *Network) ApplyPlan(pl *Plan, words []Word) ([]Word, error) {
-	if pl == nil {
-		return nil, fmt.Errorf("bnb: nil plan")
-	}
-	if pl.m != n.m {
-		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
+	if err := n.checkPlan(pl); err != nil {
+		return nil, err
 	}
 	if len(words) != n.Inputs() {
 		return nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
@@ -182,37 +180,32 @@ func (n *Network) ApplyPlan(pl *Plan, words []Word) ([]Word, error) {
 	return out, nil
 }
 
-// ReplayWired replays the plan by driving the words through the full GBN
-// wiring column by column, reading every switch state from the plan's
+// ReplayWired replays the plan by driving the words through the full
+// netlist column by column, reading every switch state from the plan's
 // bitsets — the slow reference path that proves the wire map and the bitset
-// image agree. It allocates freely; Replay is the hot path.
+// image agree. It allocates the result; Replay is the hot path.
 func (n *Network) ReplayWired(pl *Plan, words []Word) ([]Word, error) {
-	if pl == nil {
-		return nil, fmt.Errorf("bnb: nil plan")
-	}
-	if pl.m != n.m {
-		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
+	if err := n.checkPlan(pl); err != nil {
+		return nil, err
 	}
 	if len(words) != n.Inputs() {
 		return nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
 	}
-	mainRouter := gbn.RouterFunc[Word](func(mainBox gbn.Box, in []Word) ([]Word, error) {
-		i := mainBox.Stage
-		nt := n.nested[i]
-		mainBase := mainBox.Index * nt.Inputs()
-		nestedRouter := gbn.RouterFunc[Word](func(box gbn.Box, boxIn []Word) ([]Word, error) {
-			base := (mainBase + box.Index*nt.BoxSize(box.Stage)) / 2
-			controls := make([]bool, len(boxIn)/2)
-			for t := range controls {
-				controls[t] = pl.Control(i, box.Stage, base+t)
-			}
-			return splitter.Apply(controls, boxIn)
-		})
-		return gbn.Run[Word](nt, in, nestedRouter)
-	})
-	out, err := gbn.Run[Word](n.main, words, mainRouter)
-	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
+	return n.wired(pl, words), nil
+}
+
+// wired moves the words through the netlist under the plan's recorded
+// switch states, ignoring their addresses.
+func (n *Network) wired(pl *Plan, words []Word) []Word {
+	sc := n.pool.Get().(*scratch)
+	defer n.pool.Put(sc)
+	for x := range sc.cur {
+		sc.cur[x] = int32(x) // the tokens are the input indices
 	}
-	return out, nil
+	lines, _ := n.eval(sc, false, pl.bits, nil, nil) // replay mode cannot fail
+	out := make([]Word, len(words))
+	for j, s := range lines {
+		out[j] = words[s]
+	}
+	return out
 }

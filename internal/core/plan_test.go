@@ -22,9 +22,9 @@ func testPerms(t *testing.T, m int) []perm.Perm {
 	return ps
 }
 
-// TestCompileAgreesWithSettings checks that Compile records exactly the same
-// switch decisions as the Settings path, bit for bit, and that the wire map
-// is the inverse of the compiled permutation.
+// TestCompileAgreesWithSettings checks that Compile and the Settings path
+// record exactly the per-box oracle's switch decisions, bit for bit, and
+// that the wire map is the inverse of the compiled permutation.
 func TestCompileAgreesWithSettings(t *testing.T) {
 	for m := 1; m <= 4; m++ {
 		n, err := New(m, 16)
@@ -40,11 +40,17 @@ func TestCompileAgreesWithSettings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d ComputeSettings(%v): %v", m, p, err)
 			}
+			oracle := n.oraclePlan(t, p)
 			for i := 0; i < m; i++ {
 				for j := 0; j < m-i; j++ {
 					for k := 0; k < n.Inputs()/2; k++ {
-						if got, want := pl.Control(i, j, k), s.controls[i][j][k]; got != want {
-							t.Fatalf("m=%d perm %v: control (%d,%d,%d) = %v, settings say %v",
+						want := oracle.Control(i, j, k)
+						if got := pl.Control(i, j, k); got != want {
+							t.Fatalf("m=%d perm %v: control (%d,%d,%d) = %v, oracle says %v",
+								m, p, i, j, k, got, want)
+						}
+						if got := s.pl.Control(i, j, k); got != want {
+							t.Fatalf("m=%d perm %v: settings control (%d,%d,%d) = %v, oracle says %v",
 								m, p, i, j, k, got, want)
 						}
 					}
@@ -249,5 +255,30 @@ func TestPlanErrors(t *testing.T) {
 	got[0] = 99 // must be a copy
 	if pl.p[0] == 99 {
 		t.Fatal("plan.Perm() aliases the plan's permutation")
+	}
+}
+
+// TestCompileAllocs pins the compile miss path's allocation count: the Plan,
+// its permutation copy, its column bitsets (one backing array) and its wire
+// map.
+func TestCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	n, err := New(7, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := perm.Random(n.Inputs(), rand.New(rand.NewSource(7)))
+	if _, err := n.Compile(p); err != nil { // warm the scratch pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := n.Compile(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("Compile at m=7 allocates %.1f objects, want <= 6", allocs)
 	}
 }

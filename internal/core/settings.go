@@ -3,37 +3,25 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/gbn"
 	"repro/internal/perm"
-	"repro/internal/splitter"
-	"repro/internal/wiring"
 )
 
 // Settings captures every switch decision the network makes for one
-// permutation: controls[i][j][k] is the exchange bit of global switch k
-// (0 <= k < N/2) in nested stage j of main stage i. Holding the settings,
-// the data path can be replayed without consulting addresses at all — the
-// circuit-switched operating mode, where one self-routing pass establishes
-// a circuit that subsequent data batches reuse.
+// permutation: the exchange bit of global switch k (0 <= k < N/2) in nested
+// stage j of main stage i. Holding the settings, the data path can be
+// replayed without consulting addresses at all — the circuit-switched
+// operating mode, where one self-routing pass establishes a circuit that
+// subsequent data batches reuse. It is a view of the compiled Plan.
 type Settings struct {
-	m        int
-	controls [][][]bool
+	pl *Plan
 }
 
 // M returns the order of the network the settings belong to.
-func (s *Settings) M() int { return s.m }
+func (s *Settings) M() int { return s.pl.m }
 
 // SwitchCount returns the total number of recorded switch decisions; it
 // equals the one-bit-slice switch count sum over stages, (N/2)·(1/2)m(m+1).
-func (s *Settings) SwitchCount() int {
-	total := 0
-	for _, stage := range s.controls {
-		for _, col := range stage {
-			total += len(col)
-		}
-	}
-	return total
-}
+func (s *Settings) SwitchCount() int { return s.pl.SwitchCount() }
 
 // ComputeSettings runs the self-routing control plane on the permutation
 // and records every switch decision. The returned Settings replay the
@@ -45,54 +33,11 @@ func (n *Network) ComputeSettings(p perm.Perm) (*Settings, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("bnb: %w", err)
 	}
-	s := &Settings{m: n.m, controls: make([][][]bool, n.m)}
-	for i := range s.controls {
-		nt := n.nested[i]
-		s.controls[i] = make([][]bool, nt.Stages())
-		for j := range s.controls[i] {
-			s.controls[i][j] = make([]bool, n.Inputs()/2)
-		}
-	}
-	// Route bare addresses, recording each splitter's controls at its
-	// global line offset.
-	words := make([]Word, len(p))
-	for i, d := range p {
-		words[i] = Word{Addr: d}
-	}
-	mainRouter := gbn.RouterFunc[Word](func(mainBox gbn.Box, in []Word) ([]Word, error) {
-		i := mainBox.Stage
-		nt := n.nested[i]
-		mainBase := mainBox.Index * nt.Inputs()
-		nestedRouter := gbn.RouterFunc[Word](func(box gbn.Box, boxIn []Word) ([]Word, error) {
-			pOrder := nt.BoxOrder(box.Stage)
-			bits := make([]uint8, len(boxIn))
-			for x, wd := range boxIn {
-				bits[x] = uint8(wiring.AddrBit(wd.Addr, i, n.m))
-			}
-			controls, err := n.sps[pOrder].Controls(bits)
-			if err != nil {
-				return nil, fmt.Errorf("splitter sp(%d) on address bit %d: %w", pOrder, i, err)
-			}
-			lineBase := mainBase + box.Index*nt.BoxSize(box.Stage)
-			copy(s.controls[i][box.Stage][lineBase/2:], controls)
-			return splitter.Apply(controls, boxIn)
-		})
-		out, err := gbn.Run[Word](nt, in, nestedRouter)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	})
-	out, err := gbn.Run[Word](n.main, words, mainRouter)
+	pl, err := n.Compile(p)
 	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
+		return nil, err
 	}
-	for j, wd := range out {
-		if wd.Addr != j {
-			return nil, fmt.Errorf("bnb: internal error: settings pass misdelivered %d to %d", wd.Addr, j)
-		}
-	}
-	return s, nil
+	return &Settings{pl: pl}, nil
 }
 
 // ApplySettings replays recorded switch settings over arbitrary payloads:
@@ -103,26 +48,11 @@ func (n *Network) ApplySettings(s *Settings, words []Word) ([]Word, error) {
 	if s == nil {
 		return nil, fmt.Errorf("bnb: nil settings")
 	}
-	if s.m != n.m {
-		return nil, fmt.Errorf("bnb: settings are for order %d, network has order %d", s.m, n.m)
+	if s.pl.m != n.m {
+		return nil, fmt.Errorf("bnb: settings are for order %d, network has order %d", s.pl.m, n.m)
 	}
 	if len(words) != n.Inputs() {
 		return nil, fmt.Errorf("bnb: got %d words, want %d", len(words), n.Inputs())
 	}
-	mainRouter := gbn.RouterFunc[Word](func(mainBox gbn.Box, in []Word) ([]Word, error) {
-		i := mainBox.Stage
-		nt := n.nested[i]
-		mainBase := mainBox.Index * nt.Inputs()
-		nestedRouter := gbn.RouterFunc[Word](func(box gbn.Box, boxIn []Word) ([]Word, error) {
-			lineBase := mainBase + box.Index*nt.BoxSize(box.Stage)
-			controls := s.controls[i][box.Stage][lineBase/2 : lineBase/2+len(boxIn)/2]
-			return splitter.Apply(controls, boxIn)
-		})
-		return gbn.Run[Word](nt, in, nestedRouter)
-	})
-	out, err := gbn.Run[Word](n.main, words, mainRouter)
-	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
-	}
-	return out, nil
+	return n.wired(s.pl, words), nil
 }

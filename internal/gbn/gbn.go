@@ -12,6 +12,8 @@ package gbn
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/wiring"
 )
@@ -153,80 +155,7 @@ func (f RouterFunc[T]) Route(box Box, in []T) ([]T, error) { return f(box, in) }
 // block is routed by r, and the stage outputs are rewired to the next stage
 // through the unshuffle connection. The input slice is not modified.
 func Run[T any](t Topology, in []T, r BoxRouter[T]) ([]T, error) {
-	n := t.Inputs()
-	if len(in) != n {
-		return nil, fmt.Errorf("gbn: got %d inputs, want %d", len(in), n)
-	}
-	cur := make([]T, n)
-	copy(cur, in)
-	next := make([]T, n)
-	for i := 0; i < t.Stages(); i++ {
-		size := t.BoxSize(i)
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			lo := l * size
-			out, err := r.Route(Box{Stage: i, Index: l}, cur[lo:lo+size])
-			if err != nil {
-				return nil, fmt.Errorf("gbn: stage %d box %d: %w", i, l, err)
-			}
-			if len(out) != size {
-				return nil, fmt.Errorf("gbn: stage %d box %d returned %d outputs, want %d",
-					i, l, len(out), size)
-			}
-			copy(cur[lo:lo+size], out)
-		}
-		if i == t.Stages()-1 {
-			break // network outputs are the final stage's outputs
-		}
-		for j := 0; j < n; j++ {
-			next[t.InterStage(i, j)] = cur[j]
-		}
-		cur, next = next, cur
-	}
-	return cur, nil
-}
-
-// InPlaceRouter is the allocation-free counterpart of BoxRouter: RouteBox
-// permutes the lines of one switching box in place. Implementations must not
-// grow or shrink the slice.
-type InPlaceRouter[T any] interface {
-	RouteBox(box Box, lines []T) error
-}
-
-// RunInPlace is the allocation-free counterpart of Run: it pushes cur through
-// every stage with the in-place router, using tmp (same length) as the
-// rewiring buffer for the inter-stage unshuffle. The final network output is
-// left in cur; tmp's contents are unspecified afterwards. Neither slice is
-// allocated or retained, so callers can recycle both across routes — this is
-// the engine hot path.
-func RunInPlace[T any](t Topology, cur, tmp []T, r InPlaceRouter[T]) error {
-	n := t.Inputs()
-	if len(cur) != n {
-		return fmt.Errorf("gbn: got %d inputs, want %d", len(cur), n)
-	}
-	if len(tmp) < n {
-		return fmt.Errorf("gbn: rewire buffer length %d, want %d", len(tmp), n)
-	}
-	a, b := cur, tmp[:n]
-	for i := 0; i < t.Stages(); i++ {
-		size := t.BoxSize(i)
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			lo := l * size
-			if err := r.RouteBox(Box{Stage: i, Index: l}, a[lo:lo+size]); err != nil {
-				return fmt.Errorf("gbn: stage %d box %d: %w", i, l, err)
-			}
-		}
-		if i == t.Stages()-1 {
-			break
-		}
-		for j := 0; j < n; j++ {
-			b[t.InterStage(i, j)] = a[j]
-		}
-		a, b = b, a
-	}
-	if &a[0] != &cur[0] {
-		copy(cur, a)
-	}
-	return nil
+	return run(t, in, r, 1, nil)
 }
 
 // RunTraced behaves like Run but additionally records the payload vector as
@@ -234,42 +163,114 @@ func RunInPlace[T any](t Topology, cur, tmp []T, r InPlaceRouter[T]) error {
 // stage-by-stage inspection (used by the diagram and trace tools). The
 // returned trace has Stages()+1 entries.
 func RunTraced[T any](t Topology, in []T, r BoxRouter[T]) (out []T, trace [][]T, err error) {
+	out, err = run(t, in, r, 1, func(v []T) {
+		trace = append(trace, append([]T(nil), v...))
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, trace, nil
+}
+
+// RunParallel behaves exactly like Run but evaluates the switching boxes of
+// each stage concurrently: boxes within a stage are independent by
+// construction (they own disjoint line ranges), so each stage is a parallel
+// map followed by the sequential unshuffle rewiring barrier. workers <= 0
+// selects GOMAXPROCS. The router must be safe for concurrent use — every
+// router in this repository is, because the network objects are immutable.
+func RunParallel[T any](t Topology, in []T, r BoxRouter[T], workers int) ([]T, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return run(t, in, r, workers, nil)
+}
+
+// run is the evaluator behind Run, RunTraced and RunParallel: snap, when
+// non-nil, sees the vector at the input of every stage and the final
+// output.
+func run[T any](t Topology, in []T, r BoxRouter[T], workers int, snap func([]T)) ([]T, error) {
 	n := t.Inputs()
 	if len(in) != n {
-		return nil, nil, fmt.Errorf("gbn: got %d inputs, want %d", len(in), n)
+		return nil, fmt.Errorf("gbn: got %d inputs, want %d", len(in), n)
 	}
 	cur := make([]T, n)
 	copy(cur, in)
 	next := make([]T, n)
-	snapshot := func(v []T) []T {
-		s := make([]T, len(v))
-		copy(s, v)
-		return s
+	if snap != nil {
+		snap(cur)
 	}
-	trace = append(trace, snapshot(cur))
 	for i := 0; i < t.Stages(); i++ {
-		size := t.BoxSize(i)
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			lo := l * size
-			boxOut, err := r.Route(Box{Stage: i, Index: l}, cur[lo:lo+size])
-			if err != nil {
-				return nil, nil, fmt.Errorf("gbn: stage %d box %d: %w", i, l, err)
-			}
-			if len(boxOut) != size {
-				return nil, nil, fmt.Errorf("gbn: stage %d box %d returned %d outputs, want %d",
-					i, l, len(boxOut), size)
-			}
-			copy(cur[lo:lo+size], boxOut)
+		if err := runStage(t, i, cur, r, workers); err != nil {
+			return nil, err
 		}
-		if i < t.Stages()-1 {
+		if i < t.Stages()-1 { // network outputs are the final stage's outputs
 			for j := 0; j < n; j++ {
 				next[t.InterStage(i, j)] = cur[j]
 			}
 			cur, next = next, cur
 		}
-		trace = append(trace, snapshot(cur))
+		if snap != nil {
+			snap(cur)
+		}
 	}
-	return cur, trace, nil
+	return cur, nil
+}
+
+// runStage evaluates every box of stage i in place over cur, in box order
+// on one worker or concurrently on up to workers goroutines.
+func runStage[T any](t Topology, i int, cur []T, r BoxRouter[T], workers int) error {
+	boxes := t.BoxesInStage(i)
+	size := t.BoxSize(i)
+	if workers > boxes {
+		workers = boxes
+	}
+	if workers <= 1 {
+		// A stage with one box (or a one-worker budget) runs inline; no
+		// goroutine overhead for the big stage-0 box.
+		for l := 0; l < boxes; l++ {
+			if err := routeBox(r, i, l, cur[l*size:(l+1)*size]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := range work {
+				if err := routeBox(r, i, l, cur[l*size:(l+1)*size]); err != nil {
+					errOnce.Do(func() { firstErr = err })
+				}
+			}
+		}()
+	}
+	for l := 0; l < boxes; l++ {
+		work <- l
+	}
+	close(work)
+	wg.Wait()
+	return firstErr
+}
+
+// routeBox routes one box's lines through r, in place.
+func routeBox[T any](r BoxRouter[T], stage, box int, lines []T) error {
+	out, err := r.Route(Box{Stage: stage, Index: box}, lines)
+	if err != nil {
+		return fmt.Errorf("gbn: stage %d box %d: %w", stage, box, err)
+	}
+	if len(out) != len(lines) {
+		return fmt.Errorf("gbn: stage %d box %d returned %d outputs, want %d",
+			stage, box, len(out), len(lines))
+	}
+	copy(lines, out)
+	return nil
 }
 
 // SwitchCount returns the number of 2x2 switches in one one-bit slice of the

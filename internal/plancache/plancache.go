@@ -26,8 +26,8 @@ import (
 // fill, lookup and eviction at will. Production leaves it nil.
 var Yield func()
 
-// entry is one cached plan. The key is the plan's permutation (flattened for
-// cache-local comparison); touched is the CLOCK reference bit.
+// entry is one cached plan. The key aliases the plan's immutable
+// permutation (no copy); touched is the CLOCK reference bit.
 type entry struct {
 	hash    uint64
 	key     []int
@@ -161,7 +161,7 @@ func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
 	if c == nil || plan == nil {
 		return false
 	}
-	key := plan.Perm()
+	key := plan.PermView()
 	h := hashKey(key)
 	e := &entry{hash: h, key: key, plan: plan}
 	e.touched.Store(true)

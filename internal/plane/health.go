@@ -108,14 +108,13 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 	if err := s.tracedProbePass(p, dst, src); err != nil {
 		e := err
 		p.lastErr.Store(&e)
-		p.failedProbes++
-		if s.rebuild != nil && p.failedProbes >= s.rebuildAfter {
+		if failed := p.failedProbes.Add(1); s.rebuild != nil && int(failed) >= s.rebuildAfter {
 			if r, rerr := s.rebuild(p.id); rerr == nil && r != nil && r.Inputs() == s.n {
 				p.router.Store(&routerBox{r: r})
 				p.repairs.Add(1)
 				s.repairs.Add(1)
 				s.m.AddRepair()
-				p.failedProbes = 0
+				p.failedProbes.Store(0)
 			}
 		}
 		return
@@ -142,7 +141,7 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 	if !p.state.CompareAndSwap(int32(from), int32(Healthy)) {
 		return // now Draining or Detached: membership owns this plane
 	}
-	p.failedProbes = 0
+	p.failedProbes.Store(0)
 	if p.slow.Load() {
 		// Forget the degraded latency history: a readmitted plane restarts
 		// its EWMA cold, so stale slowness cannot re-trip the detector.

@@ -195,8 +195,9 @@ type planeState struct {
 	slow atomic.Bool
 
 	// failedProbes counts consecutive failed readmission attempts; reset on
-	// readmit and on rebuild. Health-checker-owned.
-	failedProbes int
+	// readmit and on rebuild. The health checker counts; SwapPlane resets
+	// it concurrently, so it is atomic.
+	failedProbes atomic.Int32
 	// lastErr records the failure that triggered the current quarantine.
 	lastErr atomic.Pointer[error]
 	// lastDiag records the most recent diagnosis outcome, for Stats.

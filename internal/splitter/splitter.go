@@ -135,23 +135,6 @@ func Apply[T any](controls []bool, in []T) ([]T, error) {
 	return out, nil
 }
 
-// ApplyInPlace routes the payload through the switch column in place,
-// exchanging lines 2t and 2t+1 where controls[t] is set. It is the
-// allocation-free counterpart of Apply: a 2x2 switch only ever swaps its
-// pair, so no second buffer is needed.
-func ApplyInPlace[T any](controls []bool, lines []T) error {
-	if len(lines) != 2*len(controls) {
-		return fmt.Errorf("splitter: payload length %d does not match %d switches",
-			len(lines), len(controls))
-	}
-	for t, exchange := range controls {
-		if exchange {
-			lines[2*t], lines[2*t+1] = lines[2*t+1], lines[2*t]
-		}
-	}
-	return nil
-}
-
 func applySwitches[T any](controls []bool, in, out []T) {
 	for t, exchange := range controls {
 		if exchange {
