@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/plancache"
 )
 
 // shardBackend adapts a *Supervised to the coordinator's Shard interface:
@@ -33,17 +34,20 @@ func (b shardBackend) Submit(ctx context.Context, dst, src []core.Word) (cluster
 }
 
 // clusterFabric is one immutable membership snapshot: the shard set, the
-// coordinator scattering over it, and the count of routes still using it.
-// Membership changes swap whole snapshots; a snapshot is retired once its
-// reference count drains, so a removed shard is never closed while a route
-// that acquired the old membership might still submit to it.
+// coordinator scattering over it, its assignment cache, and the count of
+// routes still using it. Membership changes swap whole snapshots; a
+// snapshot is retired once its reference count drains, so a removed shard
+// is never closed while a route that acquired the old membership might
+// still submit to it. The cache dies with its snapshot, so no assignment
+// computed for one membership is ever replayed on another.
 type clusterFabric struct {
 	shards []*Supervised
 	co     *cluster.Coordinator
+	cache  *plancache.Cache[*cluster.Assignment] // nil when disabled
 	refs   atomic.Int64
 }
 
-func newClusterFabric(shards []*Supervised) (*clusterFabric, error) {
+func newClusterFabric(shards []*Supervised, cacheEntries int) (*clusterFabric, error) {
 	backends := make([]cluster.Shard, len(shards))
 	for i, s := range shards {
 		backends[i] = shardBackend{s: s}
@@ -52,7 +56,11 @@ func newClusterFabric(shards []*Supervised) (*clusterFabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &clusterFabric{shards: shards, co: co}, nil
+	return &clusterFabric{
+		shards: shards,
+		co:     co,
+		cache:  plancache.NewAdmitting[*cluster.Assignment](cacheEntries),
+	}, nil
 }
 
 // Cluster is a multi-shard routing fabric serving N = S·2^m aggregate
@@ -70,6 +78,9 @@ type Cluster struct {
 	// buildShard constructs one fresh shard exactly like the originals;
 	// AddShard grows the fleet through it.
 	buildShard func() (*Supervised, error)
+	// cacheEntries bounds every membership snapshot's assignment cache
+	// (0 disables it); it is the WithPlanCache capacity.
+	cacheEntries int
 
 	fab atomic.Pointer[clusterFabric]
 
@@ -101,7 +112,9 @@ var _ Network = (*Cluster)(nil)
 // exceptions: WithDebugAddr starts one debug endpoint owned by the
 // cluster, and WithMetrics attaches one shared sink observed by every
 // shard's engine (per-shard submissions, not cluster routes, are what it
-// counts). Shards can be added and drained at runtime with AddShard and
+// counts). WithPlanCache also sizes the cluster's own assignment cache
+// (default 256 entries; 0 disables it), which replays repeated
+// permutations without re-running the edge coloring. Shards can be added and drained at runtime with AddShard and
 // RemoveShard; Close shuts the whole fleet down.
 func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 	o, err := gatherOptions(opts)
@@ -135,11 +148,15 @@ func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 	shardOpts.shards = 0
 	shardOpts.debugAddr = ""
 	c := &Cluster{
-		family:     family,
-		shardOrder: m,
-		proto:      proto,
-		m:          o.metrics,
-		tracer:     o.tracer,
+		family:       family,
+		shardOrder:   m,
+		proto:        proto,
+		cacheEntries: defaultPlanCacheEntries,
+		m:            o.metrics,
+		tracer:       o.tracer,
+	}
+	if o.anySet(optPlanCache) {
+		c.cacheEntries = o.planCache
 	}
 	c.buildShard = func() (*Supervised, error) {
 		return newSupervisedFromOptions(family, m, shardOpts)
@@ -158,7 +175,7 @@ func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 		}
 		shards = append(shards, sh)
 	}
-	fab, err := newClusterFabric(shards)
+	fab, err := newClusterFabric(shards, c.cacheEntries)
 	if err != nil {
 		return fail(err)
 	}
@@ -256,13 +273,26 @@ func (c *Cluster) RouteInto(dst, src []Word) error {
 
 // RouteIntoCtx is RouteInto with a context bounding the shard submissions
 // (each shard's WithTimeout, when set, applies on top).
+//
+// A permutation this membership has already decomposed is replayed from
+// the assignment cache, skipping the edge coloring; RouteAssigned still
+// checks every source address against the cached assignment. A miss
+// decomposes and routes, then offers the assignment to the cache, which
+// admits it on the permutation's second sighting.
 func (c *Cluster) RouteIntoCtx(ctx context.Context, dst, src []Word) error {
 	f, err := c.acquire()
 	if err != nil {
 		return err
 	}
 	defer c.release(f)
-	return f.co.Route(ctx, dst, src)
+	if a := f.cache.Lookup(src); a != nil {
+		return f.co.RouteAssigned(ctx, dst, src, a)
+	}
+	a, err := f.co.DecomposeAndRoute(ctx, dst, src)
+	if a != nil {
+		f.cache.Insert(a)
+	}
+	return err
 }
 
 // RouteBatch routes the batch concurrently across the shards and reports
@@ -437,7 +467,7 @@ func (c *Cluster) AddShard(ctx context.Context) (int, error) {
 	}
 	old := c.fab.Load()
 	shards := append(append([]*Supervised(nil), old.shards...), sh)
-	nf, err := newClusterFabric(shards)
+	nf, err := newClusterFabric(shards, c.cacheEntries)
 	if err != nil {
 		sh.Close()
 		return 0, err
@@ -471,7 +501,7 @@ func (c *Cluster) RemoveShard(ctx context.Context) (int, error) {
 	}
 	shards := append([]*Supervised(nil), old.shards[:len(old.shards)-1]...)
 	removed := old.shards[len(old.shards)-1]
-	nf, err := newClusterFabric(shards)
+	nf, err := newClusterFabric(shards, c.cacheEntries)
 	if err != nil {
 		return 0, err
 	}

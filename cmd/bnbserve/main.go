@@ -356,52 +356,54 @@ func (s *server) acceptTCP() {
 	}
 }
 
+// tcpConn is one connection's reusable frame state. frame holds a route
+// request's payload and then, in place, its response; src and dst are the
+// routed words. All three grow to the largest frame the connection has
+// routed, which is at most the fabric's port count, and are reused for
+// every later frame. drain discards the payload of frames too large to
+// route.
+type tcpConn struct {
+	frame    []byte
+	src, dst []bnbnet.Word
+	drain    [4096]byte
+}
+
 func (s *server) serveTCPConn(conn net.Conn) {
-	var opcode [1]byte
-	var u32 [4]byte
+	var hdr [9]byte
+	c := &tcpConn{}
 	for {
-		if _, err := io.ReadFull(conn, opcode[:]); err != nil {
+		if _, err := io.ReadFull(conn, hdr[:1]); err != nil {
 			return // client hung up
 		}
-		switch opcode[0] {
+		switch hdr[0] {
 		case opInfo:
-			resp := make([]byte, 9)
-			resp[0] = tcpOK
-			binary.BigEndian.PutUint32(resp[1:5], uint32(s.cluster.Inputs()))
-			binary.BigEndian.PutUint32(resp[5:9], uint32(s.cluster.Shards()))
-			if _, err := conn.Write(resp); err != nil {
+			hdr[0] = tcpOK
+			binary.BigEndian.PutUint32(hdr[1:5], uint32(s.cluster.Inputs()))
+			binary.BigEndian.PutUint32(hdr[5:9], uint32(s.cluster.Shards()))
+			if _, err := conn.Write(hdr[:9]); err != nil {
 				return
 			}
 		case opRoute:
-			if _, err := io.ReadFull(conn, u32[:]); err != nil {
+			if _, err := io.ReadFull(conn, hdr[:4]); err != nil {
 				return
 			}
-			n := binary.BigEndian.Uint32(u32[:])
+			n := int(binary.BigEndian.Uint32(hdr[:4]))
 			if n == 0 || n > maxTCPPerm {
 				conn.Write([]byte{tcpBadRequest})
 				return
 			}
-			raw := make([]byte, 4*n)
-			if _, err := io.ReadFull(conn, raw); err != nil {
+			status, err := c.route(conn, s.cluster, n)
+			if err != nil {
 				return
 			}
-			p := make([]int, n)
-			for i := range p {
-				p[i] = int(binary.BigEndian.Uint32(raw[4*i:]))
-			}
-			out, err := s.cluster.RoutePerm(p)
-			if err != nil {
-				if _, werr := conn.Write([]byte{tcpErrStatus(err)}); werr != nil {
+			if status != tcpOK {
+				hdr[0] = status
+				if _, err := conn.Write(hdr[:1]); err != nil {
 					return
 				}
 				continue
 			}
-			resp := make([]byte, 1+4*len(out))
-			resp[0] = tcpOK
-			for j, word := range out {
-				binary.BigEndian.PutUint32(resp[1+4*j:], uint32(word.Data))
-			}
-			if _, err := conn.Write(resp); err != nil {
+			if _, err := conn.Write(c.frame[:1+4*n]); err != nil {
 				return
 			}
 		default:
@@ -409,6 +411,45 @@ func (s *server) serveTCPConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// route reads one route frame's payload of n destinations and routes it.
+// On tcpOK the response is c.frame[:1+4n]; any other status is the whole
+// response. A frame larger than the fabric can never route, so its payload
+// is discarded through the fixed drain buffer, never held, and answered
+// tcpBadSize for the client to refetch info and retry. A non-nil error
+// means the connection failed.
+func (c *tcpConn) route(conn net.Conn, cl *bnbnet.Cluster, n int) (byte, error) {
+	if n > cl.Inputs() {
+		for left := 4 * n; left > 0; {
+			k, err := io.ReadFull(conn, c.drain[:min(left, len(c.drain))])
+			if err != nil {
+				return 0, err
+			}
+			left -= k
+		}
+		return tcpBadSize, nil
+	}
+	if cap(c.frame) < 1+4*n {
+		c.frame = make([]byte, 1+4*n)
+		c.src = make([]bnbnet.Word, n)
+		c.dst = make([]bnbnet.Word, n)
+	}
+	frame, src, dst := c.frame[:1+4*n], c.src[:n], c.dst[:n]
+	if _, err := io.ReadFull(conn, frame[1:]); err != nil {
+		return 0, err
+	}
+	for i := range src {
+		src[i] = bnbnet.Word{Addr: int(binary.BigEndian.Uint32(frame[1+4*i:])), Data: uint64(i)}
+	}
+	if err := cl.RouteIntoCtx(context.Background(), dst, src); err != nil {
+		return tcpErrStatus(err), nil
+	}
+	frame[0] = tcpOK
+	for j, word := range dst {
+		binary.BigEndian.PutUint32(frame[1+4*j:], uint32(word.Data))
+	}
+	return tcpOK, nil
 }
 
 func tcpErrStatus(err error) byte {

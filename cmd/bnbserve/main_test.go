@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,6 +232,58 @@ func TestTCPRoute(t *testing.T) {
 	p := bnbnet.RandomPerm(inputs, rng)
 	if status, sources, err := c.route(p); err != nil || status != tcpOK || checkDelivery(p, sources) != nil {
 		t.Fatalf("route after rejection failed: status %d err %v", status, err)
+	}
+}
+
+// TestTCPOversizedFrame sends route frames announcing 2^20 ports to a
+// 128-port fabric. Each must be answered with the size-mismatch status
+// after its payload is discarded through the connection's fixed drain
+// buffer, so the frames cost O(1) server allocation instead of the 4 MiB
+// payload each announces, and the connection must still route afterwards.
+func TestTCPOversizedFrame(t *testing.T) {
+	s := startTestServer(t, config{m: 6, shards: 2, tcpAddr: "127.0.0.1:0"})
+	c := dialTCP(t, s.TCPAddr())
+	inputs, _, err := c.info()
+	if err != nil || inputs != 128 {
+		t.Fatalf("info = %d inputs, err %v; want 128", inputs, err)
+	}
+	frame := make([]byte, 5+4*maxTCPPerm)
+	frame[0] = opRoute
+	binary.BigEndian.PutUint32(frame[1:5], maxTCPPerm)
+	send := func() {
+		t.Helper()
+		if _, err := c.conn.Write(frame); err != nil {
+			t.Fatalf("write oversized frame: %v", err)
+		}
+		var status [1]byte
+		if _, err := io.ReadFull(c.conn, status[:]); err != nil {
+			t.Fatalf("read status: %v", err)
+		}
+		if status[0] != tcpBadSize {
+			t.Fatalf("oversized frame: status %d, want %d", status[0], tcpBadSize)
+		}
+	}
+	send() // the first frame settles the connection's goroutine and buffers
+	const frames = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	// Holding even one payload would allocate 4 MiB; the bound leaves room
+	// for the fabric's own background work during the window.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d oversized frames allocated %d bytes, want O(1) per frame", frames, grew)
+	}
+	p := bnbnet.RandomPerm(inputs, rand.New(rand.NewSource(3)))
+	status, sources, err := c.route(p)
+	if err != nil || status != tcpOK {
+		t.Fatalf("route after oversized frames: status %d err %v", status, err)
+	}
+	if err := checkDelivery(p, sources); err != nil {
+		t.Fatal(err)
 	}
 }
 

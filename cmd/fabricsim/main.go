@@ -153,10 +153,19 @@ func runCluster(netName string, m, shards, requests int, seed int64, dbg *debugS
 
 	rng := rand.New(rand.NewSource(seed))
 	var delivered, misrouted int
-	var words int64
+	var words, cacheHits int64
+	// About half the stream repeats a small seeded working set of the
+	// current size, so the assignment cache's admit and hit paths run
+	// alongside fresh decompositions across the membership changes.
+	hot := map[int][]bnbnet.Perm{}
 	drive := func(count int) error {
 		const batchMax = 64
 		n := cl.Inputs()
+		if hot[n] == nil {
+			for i := 0; i < 8; i++ {
+				hot[n] = append(hot[n], bnbnet.RandomPerm(n, rng))
+			}
+		}
 		for done := 0; done < count; done += batchMax {
 			size := batchMax
 			if count-done < size {
@@ -165,7 +174,11 @@ func runCluster(netName string, m, shards, requests int, seed int64, dbg *debugS
 			batch := make([][]bnbnet.Word, size)
 			perms := make([]bnbnet.Perm, size)
 			for i := range batch {
-				perms[i] = bnbnet.RandomPerm(n, rng)
+				if rng.Intn(2) == 0 {
+					perms[i] = hot[n][rng.Intn(len(hot[n]))]
+				} else {
+					perms[i] = bnbnet.RandomPerm(n, rng)
+				}
 				batch[i] = make([]bnbnet.Word, n)
 				for j, d := range perms[i] {
 					batch[i][j] = bnbnet.Word{Addr: d, Data: uint64(j)}
@@ -190,6 +203,11 @@ func runCluster(netName string, m, shards, requests int, seed int64, dbg *debugS
 					misrouted++
 				}
 			}
+		}
+		// Each membership has its own assignment cache; tally this one's
+		// hits before the next change retires it.
+		if st := cl.Stats(); len(st.PlanCaches) == 1 {
+			cacheHits += st.PlanCaches[0].Hits
 		}
 		return nil
 	}
@@ -225,6 +243,7 @@ func runCluster(netName string, m, shards, requests int, seed int64, dbg *debugS
 		elapsed.Round(time.Millisecond),
 		float64(requests)/elapsed.Seconds(), float64(words)/elapsed.Seconds())
 	tw.Flush()
+	fmt.Printf("assignment cache: %d hits\n", cacheHits)
 	if err := cl.Drain(context.Background()); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

@@ -68,11 +68,22 @@ type Assignment struct {
 // Inputs returns the aggregate port count S·L.
 func (a *Assignment) Inputs() int { return a.S * a.L }
 
+// PermView returns the routed global permutation P without copying; the
+// assignment cache keys on it. Callers must not modify it.
+func (a *Assignment) PermView() []int { return a.P }
+
 // scratch is the reusable per-route buffer set: one src and one dst slab
 // per shard plus the pending-ticket slice.
 type scratch struct {
 	src, dst [][]core.Word
 	pend     []Pending
+}
+
+// colorScratch is the reusable decomposition buffer set: the edge colorer
+// and the permutation check's seen bitmap.
+type colorScratch struct {
+	ec   *edgeColorer
+	seen []uint64
 }
 
 // Coordinator scatters global permutations over a fixed set of shards.
@@ -81,7 +92,8 @@ type scratch struct {
 type Coordinator struct {
 	shards  []Shard
 	s, l, n int
-	pool    sync.Pool
+	pool    sync.Pool // *scratch, for routeWith
+	cpool   sync.Pool // *colorScratch, for decompose
 }
 
 // New builds a Coordinator over the given shards. All shards must serve
@@ -113,6 +125,9 @@ func New(shards []Shard) (*Coordinator, error) {
 		}
 		return sc
 	}
+	c.cpool.New = func() any {
+		return &colorScratch{ec: newEdgeColorer(l, s, s*l), seen: make([]uint64, (s*l+63)/64)}
+	}
 	return c, nil
 }
 
@@ -132,37 +147,60 @@ func (c *Coordinator) Decompose(p []int) (*Assignment, error) {
 	if len(p) != c.n {
 		return nil, fmt.Errorf("%w: got %d entries, want %d", neterr.ErrBadSize, len(p), c.n)
 	}
-	seen := make([]bool, c.n)
-	for i, d := range p {
-		if d < 0 || d >= c.n || seen[d] {
+	a := c.newAssignment()
+	copy(a.P, p)
+	return c.decompose(a)
+}
+
+// newAssignment allocates an Assignment for this membership in four
+// allocations: the struct, P, one int32 slab carved into Mid and every
+// Local and Final row, and one slice of row headers shared by Local and
+// Final.
+func (c *Coordinator) newAssignment() *Assignment {
+	s, l, n := c.s, c.l, c.n
+	slab := make([]int32, 3*n)
+	rows := make([][]int32, 2*s)
+	a := &Assignment{S: s, L: l, P: make([]int, n), Mid: slab[:n:n], Local: rows[:s:s], Final: rows[s:]}
+	for g := 0; g < s; g++ {
+		lo := n + 2*g*l
+		a.Local[g] = slab[lo : lo+l : lo+l]
+		a.Final[g] = slab[lo+l : lo+2*l : lo+2*l]
+	}
+	return a
+}
+
+// decompose checks that a.P is a permutation and fills the rest of a.
+func (c *Coordinator) decompose(a *Assignment) (*Assignment, error) {
+	cs := c.cpool.Get().(*colorScratch)
+	defer c.cpool.Put(cs)
+	seen := cs.seen
+	clear(seen)
+	for i, d := range a.P {
+		if d < 0 || d >= c.n || seen[d>>6]&(1<<uint(d&63)) != 0 {
 			return nil, fmt.Errorf("%w: entry %d maps to %d", neterr.ErrNotPermutation, i, d)
 		}
-		seen[d] = true
+		seen[d>>6] |= 1 << uint(d&63)
 	}
-	a := &Assignment{
-		S:     c.s,
-		L:     c.l,
-		P:     append([]int(nil), p...),
-		Mid:   make([]int32, c.n),
-		Local: make([][]int32, c.s),
-		Final: make([][]int32, c.s),
-	}
-	slab := make([]int32, 2*c.n)
-	for g := 0; g < c.s; g++ {
-		a.Local[g] = slab[2*g*c.l : (2*g+1)*c.l]
-		a.Final[g] = slab[(2*g+1)*c.l : (2*g+2)*c.l]
-	}
-	ec := newEdgeColorer(c.l, c.s, c.n)
-	for i, d := range p {
-		if err := ec.insert(int32(i%c.l), int32(d%c.l)); err != nil {
-			return nil, err
+	// Global port i is (shard g, port h) with i = g·L + h; walking the two
+	// nested keeps h without a division.
+	ec := cs.ec
+	ec.reset()
+	s, l := c.s, c.l
+	for g, i := 0, 0; g < s; g++ {
+		for h := 0; h < l; h, i = h+1, i+1 {
+			if err := ec.insert(int32(h), int32(a.P[i]%l)); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for i, d := range p {
-		col := ec.color[i]
-		a.Mid[i] = col
-		a.Local[col][i%c.l] = int32(d % c.l)
-		a.Final[col][d%c.l] = int32(d)
+	for g, i := 0, 0; g < s; g++ {
+		for h := 0; h < l; h, i = h+1, i+1 {
+			col := ec.color[i]
+			h1 := ec.ends[i][1] - int32(l)
+			a.Mid[i] = col
+			a.Local[col][h] = h1
+			a.Final[col][h1] = int32(a.P[i])
+		}
 	}
 	return a, nil
 }
@@ -171,18 +209,27 @@ func (c *Coordinator) Decompose(p []int) (*Assignment, error) {
 // it: dst[j] receives the word addressed to global port j, with its Data
 // payload intact. dst may alias src. It blocks until every shard settles.
 func (c *Coordinator) Route(ctx context.Context, dst, src []core.Word) error {
+	_, err := c.DecomposeAndRoute(ctx, dst, src)
+	return err
+}
+
+// DecomposeAndRoute is Route that also returns the Assignment it
+// computed, so a caller can replay it later with RouteAssigned. The
+// assignment is nil when the src addresses could not be decomposed and
+// non-nil, and valid, whenever they could, even if routing then failed.
+func (c *Coordinator) DecomposeAndRoute(ctx context.Context, dst, src []core.Word) (*Assignment, error) {
 	if len(dst) != c.n || len(src) != c.n {
-		return fmt.Errorf("%w: got %d/%d words, want %d", neterr.ErrBadSize, len(src), len(dst), c.n)
+		return nil, fmt.Errorf("%w: got %d/%d words, want %d", neterr.ErrBadSize, len(src), len(dst), c.n)
 	}
-	p := make([]int, c.n)
+	a := c.newAssignment()
 	for i, w := range src {
-		p[i] = w.Addr
+		a.P[i] = w.Addr
 	}
-	a, err := c.Decompose(p)
+	a, err := c.decompose(a)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.routeWith(ctx, dst, src, a)
+	return a, c.routeWith(ctx, dst, src, a)
 }
 
 // RouteAssigned replays a previously computed Assignment. The src
@@ -229,10 +276,11 @@ func (c *Coordinator) routeWith(ctx context.Context, dst, src []core.Word, a *As
 	// stage-B local destination. Reads of src complete before any write to
 	// dst, so dst may alias src.
 	l := c.l
-	for i := range src {
-		mid := a.Mid[i]
-		h0 := i % l
-		sc.src[mid][h0] = core.Word{Addr: int(a.Local[mid][h0]), Data: src[i].Data}
+	for g, i := 0, 0; g < c.s; g++ {
+		for h0 := 0; h0 < l; h0, i = h0+1, i+1 {
+			mid := a.Mid[i]
+			sc.src[mid][h0] = core.Word{Addr: int(a.Local[mid][h0]), Data: src[i].Data}
+		}
 	}
 
 	// Stage B: submit every shard batch, then settle every ticket. A

@@ -32,7 +32,7 @@ func (s *syncShard) Submit(_ context.Context, dst, src []core.Word) (Pending, er
 	return donePending{out: dst}, nil
 }
 
-func newTestCoordinator(t *testing.T, shards, m int) *Coordinator {
+func newTestCoordinator(t testing.TB, shards, m int) *Coordinator {
 	t.Helper()
 	sh := make([]Shard, shards)
 	for i := range sh {

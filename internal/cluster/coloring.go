@@ -42,10 +42,18 @@ func newEdgeColorer(h, colors, edges int) *edgeColorer {
 		at:     make([]int32, 2*h*colors),
 		color:  make([]int32, 0, edges),
 	}
+	ec.reset()
+	return ec
+}
+
+// reset empties the colorer for another graph of the same shape, keeping
+// its buffers.
+func (ec *edgeColorer) reset() {
+	ec.ends = ec.ends[:0]
+	ec.color = ec.color[:0]
 	for i := range ec.at {
 		ec.at[i] = -1
 	}
-	return ec
 }
 
 // freeColor returns the smallest color unused at vertex v.

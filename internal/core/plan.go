@@ -61,7 +61,7 @@ func (pl *Plan) Perm() perm.Perm {
 // PermView returns the compiled permutation without copying. The plan is
 // immutable, so the view stays valid for the plan's lifetime; callers must
 // not modify it. The plan cache keys entries on it.
-func (pl *Plan) PermView() perm.Perm { return pl.p }
+func (pl *Plan) PermView() []int { return pl.p }
 
 // SwitchCount returns the number of recorded switch decisions,
 // (N/2)·(1/2)m(m+1) — the same count Settings.SwitchCount reports.

@@ -1,8 +1,11 @@
-// Package plancache is a lock-free sharded cache of compiled route plans,
-// keyed by permutation. It serves the repeated-permutation traffic shape —
-// connection tables and fixed shuffle schedules replay the same few
-// permutations for many batches — where the winning move is to compile the
-// switch settings once and replay them from cache (DESIGN.md §12).
+// Package plancache is a lock-free sharded cache of compiled routing
+// artefacts, keyed by permutation. It serves the repeated-permutation
+// traffic shape — connection tables and fixed shuffle schedules replay the
+// same few permutations for many batches — where the winning move is to
+// compute the switch settings once and replay them from cache (DESIGN.md
+// §12). The cache is generic over the cached value: a network's compiled
+// *core.Plan, or a cluster's *cluster.Assignment (DESIGN.md §16); anything
+// that exposes the permutation it routes.
 //
 // The cache is wait-free for readers: each shard holds an immutable entry
 // slice behind an atomic.Pointer, so Lookup is a pointer load plus a scan,
@@ -12,6 +15,12 @@
 // the entry's touched bit, and an inserting writer evicts the first
 // untouched entry, clearing touched bits as it scans — an LRU approximation
 // that needs no per-hit writes beyond one atomic bool store.
+//
+// A cache built with NewAdmitting also has a doorkeeper: a fixed table of
+// recently offered permutation hashes. Insert admits a value only when its
+// hash is already in the table, so a permutation enters the cache on its
+// second sighting and a never-repeating stream leaves the cache empty
+// instead of churning it full of entries that will never hit.
 package plancache
 
 import (
@@ -26,40 +35,55 @@ import (
 // fill, lookup and eviction at will. Production leaves it nil.
 var Yield func()
 
-// entry is one cached plan. The key aliases the plan's immutable
+// Value is what the cache holds: an immutable routing artefact that
+// exposes, without copying, the permutation it routes (PermView()[i] is the
+// destination of the word at input i). The cache keys on that view, so the
+// value must never change it.
+type Value interface {
+	comparable
+	PermView() []int
+}
+
+// entry is one cached value. The key aliases the value's immutable
 // permutation (no copy); touched is the CLOCK reference bit.
-type entry struct {
+type entry[V Value] struct {
 	hash    uint64
 	key     []int
-	plan    *core.Plan
+	val     V
 	touched atomic.Bool
 }
 
 // shard is an immutable slice of entries behind one atomic pointer. The
 // slice itself is never mutated after publication; only the entries'
 // touched bits are written in place (they are atomic and advisory).
-type shard struct {
-	entries atomic.Pointer[[]*entry]
+type shard[V Value] struct {
+	entries atomic.Pointer[[]*entry[V]]
 }
 
-// Cache is a lock-free sharded plan cache. Construct with New; a nil *Cache
-// is the disabled cache (Lookup always misses, Insert drops the plan), so
-// callers need no nil checks on the hot path. All methods are safe for
-// concurrent use.
-type Cache struct {
-	shards   []shard
+// Cache is a lock-free sharded cache. Construct with New or NewAdmitting; a
+// nil *Cache is the disabled cache (Lookup always misses, Insert drops the
+// value), so callers need no nil checks on the hot path. All methods are
+// safe for concurrent use.
+type Cache[V Value] struct {
+	shards   []shard[V]
 	mask     uint64
 	perShard int
+
+	// door is the doorkeeper of an admitting cache, nil otherwise: slot
+	// h&doorMask remembers the last hash h offered to Insert there.
+	door     []atomic.Uint64
+	doorMask uint64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	rejected  atomic.Int64
 }
 
 // New builds a cache bounded at roughly the given number of entries,
-// distributed over power-of-two shards. entries <= 0 returns the disabled
-// (nil) cache.
-func New(entries int) *Cache {
+// distributed over power-of-two shards, that admits every inserted value.
+// entries <= 0 returns the disabled (nil) cache.
+func New[V Value](entries int) *Cache[V] {
 	if entries <= 0 {
 		return nil
 	}
@@ -70,16 +94,34 @@ func New(entries int) *Cache {
 		nShards <<= 1
 	}
 	perShard := (entries + nShards - 1) / nShards
-	return &Cache{
-		shards:   make([]shard, nShards),
+	return &Cache[V]{
+		shards:   make([]shard[V], nShards),
 		mask:     uint64(nShards - 1),
 		perShard: perShard,
 	}
 }
 
-// Capacity returns the maximum number of plans the cache holds; 0 on the
+// NewAdmitting is New with a doorkeeper: Insert admits a value only when
+// its permutation was offered before and is still remembered. The
+// doorkeeper remembers up to the next power of two at or above four times
+// the capacity of recent hashes, one 8-byte slot each.
+func NewAdmitting[V Value](entries int) *Cache[V] {
+	c := New[V](entries)
+	if c == nil {
+		return nil
+	}
+	slots := 1
+	for slots < 4*c.Capacity() {
+		slots <<= 1
+	}
+	c.door = make([]atomic.Uint64, slots)
+	c.doorMask = uint64(slots - 1)
+	return c
+}
+
+// Capacity returns the maximum number of values the cache holds; 0 on the
 // disabled cache.
-func (c *Cache) Capacity() int {
+func (c *Cache[V]) Capacity() int {
 	if c == nil {
 		return 0
 	}
@@ -114,13 +156,15 @@ func hashKey(key []int) uint64 {
 	return h
 }
 
-// Lookup returns the cached plan whose permutation matches the batch's
-// destination addresses, or nil on a miss. The scan is wait-free: one atomic
-// pointer load and an element-wise compare against the hash-matching
-// entries. A hit marks the entry recently used. Nil-safe (always a miss).
-func (c *Cache) Lookup(src []core.Word) *core.Plan {
+// Lookup returns the cached value whose permutation matches the batch's
+// destination addresses, or the zero V (nil) on a miss. The scan is
+// wait-free: one atomic pointer load and an element-wise compare against the
+// hash-matching entries. A hit marks the entry recently used. Nil-safe
+// (always a miss).
+func (c *Cache[V]) Lookup(src []core.Word) V {
+	var zero V
 	if c == nil {
-		return nil
+		return zero
 	}
 	h := hashAddrs(src)
 	sh := &c.shards[h&c.mask]
@@ -143,32 +187,44 @@ func (c *Cache) Lookup(src []core.Word) *core.Plan {
 			if match {
 				e.touched.Store(true)
 				c.hits.Add(1)
-				return e.plan
+				return e.val
 			}
 		}
 	}
 	c.misses.Add(1)
-	return nil
+	return zero
 }
 
-// Insert publishes a compiled plan into the cache, evicting a
+// Insert publishes a value into the cache, evicting a
 // least-recently-used-approximate victim when the shard is full. It reports
-// whether an existing plan was evicted. Inserting a permutation that is
-// already cached is a no-op (the incumbent wins — both plans are equivalent,
-// and keeping the incumbent preserves its recency state). Nil-safe (drops
-// the plan).
-func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
-	if c == nil || plan == nil {
+// whether an existing value was evicted. Inserting a permutation that is
+// already cached is a no-op (the incumbent wins — both values are
+// equivalent, and keeping the incumbent preserves its recency state). On an
+// admitting cache, a permutation the doorkeeper does not remember is
+// recorded there and dropped. Nil-safe (drops the value).
+func (c *Cache[V]) Insert(val V) (evicted bool) {
+	var zero V
+	if c == nil || val == zero {
 		return false
 	}
-	key := plan.PermView()
+	key := val.PermView()
 	h := hashKey(key)
-	e := &entry{hash: h, key: key, plan: plan}
+	if c.door != nil {
+		// A racing Insert of another hash may overwrite the slot between
+		// the load and the store; that only costs one of them a sighting.
+		slot := &c.door[h&c.doorMask]
+		if slot.Load() != h {
+			slot.Store(h)
+			c.rejected.Add(1)
+			return false
+		}
+	}
+	e := &entry[V]{hash: h, key: key, val: val}
 	e.touched.Store(true)
 	sh := &c.shards[h&c.mask]
 	for {
 		snap := sh.entries.Load()
-		var cur []*entry
+		var cur []*entry[V]
 		if snap != nil {
 			cur = *snap
 		}
@@ -182,7 +238,7 @@ func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
 		if dup {
 			return false
 		}
-		next := make([]*entry, 0, len(cur)+1)
+		next := make([]*entry[V], 0, len(cur)+1)
 		drop := -1
 		if len(cur) >= c.perShard {
 			// CLOCK second chance: evict the first untouched entry, clearing
@@ -226,17 +282,17 @@ func equalKey(a, b []int) bool {
 	return true
 }
 
-// Hot returns up to k cached plans, preferring entries whose CLOCK
+// Hot returns up to k cached values, preferring entries whose CLOCK
 // reference bit is set (recently hit) over cold ones. This is the rollout
 // pre-warm export: a live reconfiguration reads the hottest plans of the
 // outgoing cache, re-verifies each on the replacement plane, and seeds the
 // fresh cache so the first post-rollout requests hit instead of paying a
 // compile. Reading leaves the reference bits untouched. Nil-safe.
-func (c *Cache) Hot(k int) []*core.Plan {
+func (c *Cache[V]) Hot(k int) []V {
 	if c == nil || k <= 0 {
 		return nil
 	}
-	var hot, cold []*core.Plan
+	var hot, cold []V
 	for i := range c.shards {
 		snap := c.shards[i].entries.Load()
 		if snap == nil {
@@ -244,9 +300,9 @@ func (c *Cache) Hot(k int) []*core.Plan {
 		}
 		for _, e := range *snap {
 			if e.touched.Load() {
-				hot = append(hot, e.plan)
+				hot = append(hot, e.val)
 			} else {
-				cold = append(cold, e.plan)
+				cold = append(cold, e.val)
 			}
 		}
 	}
@@ -259,8 +315,8 @@ func (c *Cache) Hot(k int) []*core.Plan {
 	return hot
 }
 
-// Len returns the number of cached plans; 0 on the disabled cache.
-func (c *Cache) Len() int {
+// Len returns the number of cached values; 0 on the disabled cache.
+func (c *Cache[V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -280,6 +336,10 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
+	// Rejected counts inserts the doorkeeper of an admitting cache dropped
+	// because their permutation had not been seen before; always 0 on a
+	// cache built with New.
+	Rejected int64 `json:"rejected"`
 }
 
 // HitRatio returns hits/(hits+misses), 0 before any lookup.
@@ -292,7 +352,7 @@ func (s Stats) HitRatio() float64 {
 }
 
 // Stats returns the cache counters; the zero Stats on the disabled cache.
-func (c *Cache) Stats() Stats {
+func (c *Cache[V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
@@ -302,5 +362,6 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Rejected:  c.rejected.Load(),
 	}
 }

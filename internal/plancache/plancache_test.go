@@ -40,8 +40,8 @@ func words(p perm.Perm) []core.Word {
 // TestDisabledCache checks the nil cache contract: every method is safe and
 // inert, so callers need no nil checks.
 func TestDisabledCache(t *testing.T) {
-	var c *plancache.Cache
-	if got := plancache.New(0); got != nil {
+	var c *plancache.Cache[*core.Plan]
+	if got := plancache.New[*core.Plan](0); got != nil {
 		t.Fatalf("New(0) = %v, want nil", got)
 	}
 	n := testNet(t)
@@ -67,7 +67,7 @@ func TestDisabledCache(t *testing.T) {
 // plan and the counters add up.
 func TestFillLookup(t *testing.T) {
 	n := testNet(t)
-	c := plancache.New(8)
+	c := plancache.New[*core.Plan](8)
 	ps := []perm.Perm{perm.Identity(8), perm.Reversal(8), perm.BitReversal(3), perm.PerfectShuffle(3)}
 	plans := make([]*core.Plan, len(ps))
 	for i, p := range ps {
@@ -105,7 +105,7 @@ func TestFillLookup(t *testing.T) {
 // evict the older, referenced entry.
 func TestClockEviction(t *testing.T) {
 	n := testNet(t)
-	c := plancache.New(3)
+	c := plancache.New[*core.Plan](3)
 	if c.Capacity() != 3 {
 		t.Fatalf("Capacity = %d, want 3 (single shard expected)", c.Capacity())
 	}
@@ -158,7 +158,7 @@ func TestScheduleInsertCASRetry(t *testing.T) {
 	plancache.Yield = check.Yield
 	defer func() { plancache.Yield = nil }()
 	n := testNet(t)
-	c := plancache.New(8)
+	c := plancache.New[*core.Plan](8)
 	pa, pb := perm.Identity(8), perm.Reversal(8)
 	a, b := compile(t, n, pa), compile(t, n, pb)
 	w1 := check.GoNamed("insert-a", func(func()) { c.Insert(a) })
@@ -188,7 +188,7 @@ func TestScheduleLookupDuringEviction(t *testing.T) {
 	plancache.Yield = check.Yield
 	defer func() { plancache.Yield = nil }()
 	n := testNet(t)
-	c := plancache.New(2)
+	c := plancache.New[*core.Plan](2)
 	pa, pb, pc := perm.Identity(8), perm.Reversal(8), perm.BitReversal(3)
 	a := compile(t, n, pa)
 	c.Insert(a)
@@ -214,7 +214,7 @@ func TestScheduleLookupDuringEviction(t *testing.T) {
 // permutation.
 func TestConcurrentFill(t *testing.T) {
 	n := testNet(t)
-	c := plancache.New(4)
+	c := plancache.New[*core.Plan](4)
 	ps := []perm.Perm{
 		perm.Identity(8), perm.Reversal(8), perm.BitReversal(3),
 		perm.PerfectShuffle(3), perm.VectorShift(8, 1),
@@ -250,5 +250,38 @@ func TestConcurrentFill(t *testing.T) {
 	s := c.Stats()
 	if s.Hits+s.Misses != 8*200 {
 		t.Fatalf("lookups %d, want %d", s.Hits+s.Misses, 8*200)
+	}
+}
+
+// TestAdmittingCache pins the doorkeeper: an admitting cache drops a
+// permutation's first insert, remembers its hash, and admits the second,
+// while a plain cache admits the first.
+func TestAdmittingCache(t *testing.T) {
+	if plancache.NewAdmitting[*core.Plan](0) != nil {
+		t.Fatal("NewAdmitting(0) is not the disabled cache")
+	}
+	n := testNet(t)
+	c := plancache.NewAdmitting[*core.Plan](8)
+	pa, pb := perm.Identity(8), perm.Reversal(8)
+	a, b := compile(t, n, pa), compile(t, n, pb)
+	c.Insert(a)
+	if c.Lookup(words(pa)) != nil {
+		t.Fatal("first sighting was admitted")
+	}
+	c.Insert(b)
+	c.Insert(a)
+	if c.Lookup(words(pa)) != a {
+		t.Fatal("second sighting was not admitted")
+	}
+	if c.Lookup(words(pb)) != nil {
+		t.Fatal("B was admitted on its first sighting")
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Rejected != 2 || s.Hits != 1 || s.Misses != 2 {
+		t.Fatalf("Stats = %+v, want 1 entry, 2 rejected, 1 hit, 2 misses", s)
+	}
+	plain := plancache.New[*core.Plan](8)
+	plain.Insert(a)
+	if plain.Lookup(words(pa)) != a || plain.Stats().Rejected != 0 {
+		t.Fatal("plain cache did not admit on first insert")
 	}
 }

@@ -136,7 +136,7 @@ type PlanCacheStats = plancache.Stats
 // sink; per-request spans record compile vs. replay attribution.
 type cachedPlanRouter struct {
 	b     *BNB
-	cache *plancache.Cache
+	cache *plancache.Cache[*core.Plan]
 	m     *metrics.Metrics
 }
 
@@ -201,5 +201,5 @@ func newCachedPlanRouter(n Network, entries int, m *metrics.Metrics) (*cachedPla
 	if !ok {
 		return nil, false
 	}
-	return &cachedPlanRouter{b: b, cache: plancache.New(entries), m: m}, true
+	return &cachedPlanRouter{b: b, cache: plancache.New[*core.Plan](entries), m: m}, true
 }

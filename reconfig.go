@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/plancache"
 	"repro/internal/trace"
 )
@@ -78,7 +79,7 @@ func (s *Supervised) AddPlane(ctx context.Context) (int, error) {
 
 // addPlane builds, optionally pre-warms, admits and awaits one plane.
 // Callers hold reconfigMu.
-func (s *Supervised) addPlane(ctx context.Context, donor *plancache.Cache, topK int) (int, error) {
+func (s *Supervised) addPlane(ctx context.Context, donor *plancache.Cache[*core.Plan], topK int) (int, error) {
 	r, cached, err := s.build()
 	if err != nil {
 		return 0, err
@@ -220,7 +221,7 @@ func (s *Supervised) reconfigure(ctx context.Context, o reconfigOptions) error {
 // correctly on the new plane's own network via the wired reference path.
 // It reports how many plans were admitted; each lands one PlanWarms tick
 // in the metrics sink.
-func (s *Supervised) warm(cached *cachedPlanRouter, donor *plancache.Cache, topK int) int {
+func (s *Supervised) warm(cached *cachedPlanRouter, donor *plancache.Cache[*core.Plan], topK int) int {
 	if donor == nil || topK <= 0 {
 		return 0
 	}

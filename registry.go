@@ -393,9 +393,11 @@ func WithDegraded() Option {
 // dominant win for repeated-permutation traffic (DESIGN.md §12). Zero
 // disables the cache; negative entries are rejected. The network must offer
 // the compiled-plan surface (family "bnb", bare or behind New's
-// decorators). NewEngine and NewSupervised; NewSupervised defaults to a
-// 256-entry cache per plane when the option is absent and the planes
-// support it — pass WithPlanCache(0) to opt out.
+// decorators). NewEngine, NewSupervised and NewCluster; NewSupervised
+// defaults to a 256-entry cache per plane when the option is absent and the
+// planes support it — pass WithPlanCache(0) to opt out. NewCluster applies
+// it to every shard and bounds its assignment cache with the same count
+// (DESIGN.md §16).
 func WithPlanCache(entries int) Option {
 	return func(o *options) {
 		if entries < 0 {

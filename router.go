@@ -60,7 +60,10 @@ type Stats struct {
 	// Metrics is the attached sink's snapshot, nil without WithMetrics.
 	Metrics *MetricsSnapshot
 	// PlanCaches holds the live plan-cache counters: at most one entry for
-	// an engine, one per plane (in PlaneIDs order) for a supervised front.
+	// an engine, one per plane (in PlaneIDs order) for a supervised front,
+	// and for a cluster at most one, the current membership's assignment
+	// cache (its Rejected counts first sightings the doorkeeper turned
+	// away; each shard's plan caches are under Shards).
 	PlanCaches []PlanCacheStats
 	// Planes holds the per-plane serving and repair counters (supervised
 	// only).
@@ -137,6 +140,9 @@ func (c *Cluster) Stats() Stats {
 		Inputs:   f.co.Inputs(),
 		InFlight: c.InFlight(),
 		Shards:   make([]ShardStats, len(f.shards)),
+	}
+	if f.cache != nil {
+		st.PlanCaches = []PlanCacheStats{f.cache.Stats()}
 	}
 	if c.m != nil {
 		snap := c.m.Snapshot()

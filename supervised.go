@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/plancache"
@@ -58,10 +59,10 @@ const defaultPlanCacheEntries = 256
 // hot path never touches the registry.
 type planeCacheRegistry struct {
 	mu     sync.Mutex
-	caches map[int]*plancache.Cache
+	caches map[int]*plancache.Cache[*core.Plan]
 }
 
-func (r *planeCacheRegistry) set(id int, c *plancache.Cache) {
+func (r *planeCacheRegistry) set(id int, c *plancache.Cache[*core.Plan]) {
 	if r == nil {
 		return
 	}
@@ -79,7 +80,7 @@ func (r *planeCacheRegistry) drop(id int) {
 	r.mu.Unlock()
 }
 
-func (r *planeCacheRegistry) get(id int) *plancache.Cache {
+func (r *planeCacheRegistry) get(id int) *plancache.Cache[*core.Plan] {
 	if r == nil {
 		return nil
 	}
@@ -195,7 +196,7 @@ func newSupervisedFromOptions(family string, m int, o options) (*Supervised, err
 	}
 	var pcs *planeCacheRegistry
 	if cacheEntries > 0 {
-		pcs = &planeCacheRegistry{caches: make(map[int]*plancache.Cache, k)}
+		pcs = &planeCacheRegistry{caches: make(map[int]*plancache.Cache[*core.Plan], k)}
 	}
 	// build constructs one clean plane and hands back its compiled-plan fast
 	// path (nil when the family routes uncached), so callers can register the
