@@ -393,3 +393,58 @@ func BenchmarkLowerBound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkClusterRoute times one caller routing through a cluster, the
+// serving shape of a single bnbserve connection: hot replays a 64-entry
+// working set at m=5 over 4 shards (every lookup hits the assignment and
+// plan caches), fresh routes a new permutation per operation at m=7 over 2
+// shards (every shard request compiles). With one caller the shard
+// engines are idle, so each shard batch is served on the caller's
+// goroutine, one after another.
+func BenchmarkClusterRoute(b *testing.B) {
+	for _, tc := range []struct {
+		name      string
+		m, shards int
+		hot       bool
+	}{
+		{"hot/m=5,S=4", 5, 4, true},
+		{"fresh/m=7,S=2", 7, 2, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := NewCluster("bnb", tc.m, WithShards(tc.shards))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			n := c.Inputs()
+			rng := rand.New(rand.NewSource(1))
+			var set [][]Word
+			if tc.hot {
+				for i := 0; i < 64; i++ {
+					set = append(set, permWords(RandomPerm(n, rng)))
+				}
+				for pass := 0; pass < 3; pass++ { // admit, then hit
+					for _, src := range set {
+						if err := c.RouteInto(make([]Word, n), src); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			dst := make([]Word, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var src []Word
+				if tc.hot {
+					src = set[i%len(set)]
+				} else {
+					src = permWords(RandomPerm(n, rng))
+				}
+				if err := c.RouteInto(dst, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -19,18 +19,21 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/plancache"
 )
 
-// shardBackend adapts a *Supervised to the coordinator's Shard interface:
-// the method set matches except for the Pending return type, which Go does
-// not treat covariantly.
+// shardBackend adapts a *Supervised to the coordinator's Shard interface.
+// Submit takes the engine's caller-runs path: when the shard's engine is
+// idle, the route's shard batch is served on the calling goroutine and the
+// returned ticket is already settled, so a cluster route over idle shards
+// makes no cross-goroutine handoff at all (DESIGN.md §15, §16).
 type shardBackend struct{ s *Supervised }
 
 func (b shardBackend) Inputs() int { return b.s.Inputs() }
 
 func (b shardBackend) Submit(ctx context.Context, dst, src []core.Word) (cluster.Pending, error) {
-	return b.s.SubmitCtx(ctx, dst, src)
+	return b.s.e.SubmitOrServe(ctx, engine.Standard, dst, src)
 }
 
 // clusterFabric is one immutable membership snapshot: the shard set, the

@@ -274,3 +274,56 @@ func TestClusterCacheBatchChurn(t *testing.T) {
 	}
 	t.Logf("churn: %d routed, %d resized-rejected, %d cache hits", routed.Load(), rejected.Load(), hits)
 }
+
+// TestClusterCacheHitAllocs pins the allocation cost of a cache-hit
+// cluster route at m=5 over 4 shards, bnbserve's default shape. When every
+// shard is served on the calling goroutine, each of the four shard
+// requests allocates only its ticket, which has no channel; a queued
+// request would allocate the channel as well. The bound is the queued
+// path's cost (12 objects per route: four tickets, four channels, and the
+// route's fixed four), so a change that made the caller-runs path
+// allocate more than the queued path did fails here.
+func TestClusterCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	const maxAllocs = 12
+	c, err := NewCluster("bnb", 5, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := RandomPerm(c.Inputs(), rand.New(rand.NewSource(1)))
+	src := permWords(p)
+	dst := make([]Word, len(src))
+	for i := 0; i < 3; i++ { // first sighting, admission, then a hit
+		routeIntoChecked(t, c, p, dst, src)
+	}
+	if st := clusterCacheStats(t, c); st.Hits == 0 {
+		t.Fatalf("the warm-up never hit the assignment cache: %+v", st)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.RouteIntoCtx(context.Background(), dst, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("cache-hit cluster route allocates %.1f objects, want <= %d", allocs, maxAllocs)
+	}
+	if err := checkDelivered(p, dst); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("cache-hit cluster route: %.1f allocs", allocs)
+}
+
+// routeIntoChecked routes src (permWords(p)) into dst and fails the test
+// on an error or a misdelivered word.
+func routeIntoChecked(t *testing.T, c *Cluster, p Perm, dst, src []Word) {
+	t.Helper()
+	if err := c.RouteIntoCtx(context.Background(), dst, src); err != nil {
+		t.Fatalf("RouteIntoCtx: %v", err)
+	}
+	if err := checkDelivered(p, dst); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -139,7 +140,13 @@ func newServer(cfg config) (*server, error) {
 	if cfg.debug {
 		mux.Handle("/debug/", bnbnet.DebugHandler(s.sink, s.tracer))
 	}
-	s.httpSrv = &http.Server{Handler: mux}
+	s.httpSrv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
 
 	if s.httpLn, err = net.Listen("tcp", cfg.httpAddr); err != nil {
 		c.Close()
@@ -203,6 +210,19 @@ func (s *server) Shutdown(ctx context.Context) error {
 // HTTP front
 // ---------------------------------------------------------------------------
 
+// The HTTP front's timeouts. A client gets httpReadHeaderTimeout to send its
+// request headers, so a slow-header (slowloris) client cannot hold a
+// connection and its goroutine open; the whole request must be read within
+// httpReadTimeout and its response written within httpWriteTimeout, which
+// also bounds the slowest membership change a client waits for; an idle
+// keep-alive connection is closed after httpIdleTimeout.
+const (
+	httpReadHeaderTimeout = 2 * time.Second
+	httpReadTimeout       = 30 * time.Second
+	httpWriteTimeout      = 30 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
 type infoResponse struct {
 	Family     string `json:"family"`
 	ShardOrder int    `json:"shard_order"`
@@ -243,8 +263,14 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	out, err := s.cluster.RoutePerm(req.Perm)
-	if err != nil {
+	// The route runs under the request's context: a client that hangs up
+	// cancels its route instead of costing a full one.
+	src := make([]bnbnet.Word, len(req.Perm))
+	for i, d := range req.Perm {
+		src[i] = bnbnet.Word{Addr: d, Data: uint64(i)}
+	}
+	out := make([]bnbnet.Word, len(src))
+	if err := s.cluster.RouteIntoCtx(r.Context(), out, src); err != nil {
 		http.Error(w, err.Error(), routeStatus(err))
 		return
 	}
@@ -356,23 +382,23 @@ func (s *server) acceptTCP() {
 	}
 }
 
-// tcpConn is one connection's reusable frame state. frame holds a route
-// request's payload and then, in place, its response; src and dst are the
-// routed words. All three grow to the largest frame the connection has
-// routed, which is at most the fabric's port count, and are reused for
-// every later frame. drain discards the payload of frames too large to
-// route.
+// tcpConn is one connection's reusable frame state. r buffers the
+// connection's reads, so a small frame costs one read syscall, not one per
+// field. frame holds a route request's payload and then, in place, its
+// response; src and dst are the routed words. All three grow to the
+// largest frame the connection has routed, which is at most the fabric's
+// port count, and are reused for every later frame.
 type tcpConn struct {
+	r        *bufio.Reader
 	frame    []byte
 	src, dst []bnbnet.Word
-	drain    [4096]byte
 }
 
 func (s *server) serveTCPConn(conn net.Conn) {
 	var hdr [9]byte
-	c := &tcpConn{}
+	c := &tcpConn{r: bufio.NewReader(conn)}
 	for {
-		if _, err := io.ReadFull(conn, hdr[:1]); err != nil {
+		if _, err := io.ReadFull(c.r, hdr[:1]); err != nil {
 			return // client hung up
 		}
 		switch hdr[0] {
@@ -384,7 +410,7 @@ func (s *server) serveTCPConn(conn net.Conn) {
 				return
 			}
 		case opRoute:
-			if _, err := io.ReadFull(conn, hdr[:4]); err != nil {
+			if _, err := io.ReadFull(c.r, hdr[:4]); err != nil {
 				return
 			}
 			n := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -392,7 +418,7 @@ func (s *server) serveTCPConn(conn net.Conn) {
 				conn.Write([]byte{tcpBadRequest})
 				return
 			}
-			status, err := c.route(conn, s.cluster, n)
+			status, err := c.route(s.cluster, n)
 			if err != nil {
 				return
 			}
@@ -416,17 +442,13 @@ func (s *server) serveTCPConn(conn net.Conn) {
 // route reads one route frame's payload of n destinations and routes it.
 // On tcpOK the response is c.frame[:1+4n]; any other status is the whole
 // response. A frame larger than the fabric can never route, so its payload
-// is discarded through the fixed drain buffer, never held, and answered
+// is discarded through the read buffer, never held, and answered
 // tcpBadSize for the client to refetch info and retry. A non-nil error
 // means the connection failed.
-func (c *tcpConn) route(conn net.Conn, cl *bnbnet.Cluster, n int) (byte, error) {
+func (c *tcpConn) route(cl *bnbnet.Cluster, n int) (byte, error) {
 	if n > cl.Inputs() {
-		for left := 4 * n; left > 0; {
-			k, err := io.ReadFull(conn, c.drain[:min(left, len(c.drain))])
-			if err != nil {
-				return 0, err
-			}
-			left -= k
+		if _, err := c.r.Discard(4 * n); err != nil {
+			return 0, err
 		}
 		return tcpBadSize, nil
 	}
@@ -436,7 +458,7 @@ func (c *tcpConn) route(conn net.Conn, cl *bnbnet.Cluster, n int) (byte, error) 
 		c.dst = make([]bnbnet.Word, n)
 	}
 	frame, src, dst := c.frame[:1+4*n], c.src[:n], c.dst[:n]
-	if _, err := io.ReadFull(conn, frame[1:]); err != nil {
+	if _, err := io.ReadFull(c.r, frame[1:]); err != nil {
 		return 0, err
 	}
 	for i := range src {

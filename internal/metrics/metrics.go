@@ -107,12 +107,15 @@ type Metrics struct {
 	// carried, steals from a neighbor's shard and the requests they moved,
 	// and worker park (blocking wait) cycles. batchedRequests/batchDequeues
 	// is the wakeup amortization factor; steals/batchDequeues the imbalance
-	// the rotor left for stealing to fix.
+	// the rotor left for stealing to fix. inlineServes counts requests their
+	// submitter served in an idle worker's turn, never queued, so batched +
+	// stolen + inline accounts for every served request.
 	batchDequeues   atomic.Int64
 	batchedRequests atomic.Int64
 	steals          atomic.Int64
 	stolenRequests  atomic.Int64
 	workerParks     atomic.Int64
+	inlineServes    atomic.Int64
 }
 
 // NumClasses is the number of QoS admission classes the engine serves.
@@ -389,6 +392,15 @@ func (m *Metrics) AddPark() {
 	}
 }
 
+// AddInlineServe counts one request served on its submitter's goroutine in
+// a parked worker's turn (the engine's caller-runs path), bypassing the
+// shards, so it is in neither a batch nor a steal.
+func (m *Metrics) AddInlineServe() {
+	if m != nil {
+		m.inlineServes.Add(1)
+	}
+}
+
 // AddDrain counts one graceful engine drain (Drain, not an abrupt Close).
 func (m *Metrics) AddDrain() {
 	if m != nil {
@@ -515,6 +527,10 @@ type Snapshot struct {
 	// StolenRequests the requests they moved; WorkerParks counts worker
 	// blocking waits (one park amortized per batch is the design point).
 	BatchDequeues, BatchedRequests, Steals, StolenRequests, WorkerParks int64
+	// InlineServes counts requests served on the submitter's goroutine in
+	// an idle worker's turn; BatchedRequests + StolenRequests + InlineServes
+	// is every request the engines served.
+	InlineServes int64
 }
 
 // MeanBatch returns BatchedRequests/BatchDequeues — the average number of
@@ -584,6 +600,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Steals:          m.steals.Load(),
 		StolenRequests:  m.stolenRequests.Load(),
 		WorkerParks:     m.workerParks.Load(),
+		InlineServes:    m.inlineServes.Load(),
 	}
 	for c := 0; c < NumClasses; c++ {
 		s.ClassSubmitted[c] = m.classSubmitted[c].Load()
@@ -682,10 +699,10 @@ func (s Snapshot) String() string {
 			s.ClassSubmitted[0], s.ClassSubmitted[1], s.ClassSubmitted[2],
 			s.ClassSheds[0], s.ClassSheds[1], s.ClassSheds[2])
 	}
-	if s.BatchDequeues != 0 || s.Steals != 0 || s.WorkerParks != 0 {
-		line += fmt.Sprintf(" batches=%d batched=%d mean_batch=%.1f steals=%d stolen=%d parks=%d",
+	if s.BatchDequeues != 0 || s.Steals != 0 || s.WorkerParks != 0 || s.InlineServes != 0 {
+		line += fmt.Sprintf(" batches=%d batched=%d mean_batch=%.1f steals=%d stolen=%d parks=%d inline=%d",
 			s.BatchDequeues, s.BatchedRequests, s.MeanBatch(),
-			s.Steals, s.StolenRequests, s.WorkerParks)
+			s.Steals, s.StolenRequests, s.WorkerParks, s.InlineServes)
 	}
 	return line
 }

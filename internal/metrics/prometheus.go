@@ -62,6 +62,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, ns string) error {
 		{"steals_total", "Cross-shard steals by engine workers.", m.steals.Load()},
 		{"stolen_requests_total", "Requests moved between shards by steals.", m.stolenRequests.Load()},
 		{"worker_parks_total", "Engine worker park (blocking wait) cycles.", m.workerParks.Load()},
+		{"inline_serves_total", "Requests served on the submitter's goroutine in an idle worker's turn.", m.inlineServes.Load()},
 	}
 	for _, c := range counters {
 		if _, err := fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n%s_%s %d\n",

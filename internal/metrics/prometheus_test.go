@@ -56,6 +56,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.AddSteal(2)
 	m.AddPark()
 	m.AddPark()
+	m.AddInlineServe()
 
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf, "bnb"); err != nil {
