@@ -9,8 +9,9 @@ all: build vet test
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, a 32-bit cross-compile (pins int-width bugs like the
 # rotor truncation), the zero-allocation pin on the pooled routing hot path,
-# a short fuzz smoke of the fault-injected pooled path, and the differential
-# verification battery up to m=4.
+# short fuzz smokes of the fault-injected pooled path and of bnbserve's
+# binary TCP frame decoder, and the differential verification battery up
+# to m=4.
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
@@ -18,6 +19,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run=TestRouteAllocs .
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
+	$(GO) test -run='^$$' -fuzz FuzzTCPFrame -fuzztime 10s ./cmd/bnbserve
 	$(GO) run ./cmd/bnbverify -maxm 4
 
 # Differential + metamorphic verification of every registered family:

@@ -237,7 +237,7 @@ func TestTCPRoute(t *testing.T) {
 
 // TestTCPOversizedFrame sends route frames announcing 2^20 ports to a
 // 128-port fabric. Each must be answered with the size-mismatch status
-// after its payload is discarded through the connection's fixed drain
+// after its payload is discarded through the connection's fixed-size read
 // buffer, so the frames cost O(1) server allocation instead of the 4 MiB
 // payload each announces, and the connection must still route afterwards.
 func TestTCPOversizedFrame(t *testing.T) {

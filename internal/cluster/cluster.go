@@ -18,8 +18,9 @@
 // receives exactly one word per local port.
 //
 // The Coordinator owns the decomposition and the scatter-gather; shards
-// are asynchronous Submit/Wait routers (the supervised BNB stack at the
-// root package satisfies the interface via a one-line adapter).
+// are Submit/Wait routers (the supervised BNB stack at the root package
+// satisfies the interface via a one-line adapter, which serves an idle
+// shard's batch on the calling goroutine and returns it already settled).
 package cluster
 
 import (
@@ -38,8 +39,9 @@ type Pending interface {
 }
 
 // Shard is one routing backend serving L local ports. Submit enqueues the
-// local batch and returns a Pending that settles when dst is filled with
-// the routed words (dst[j] carries the word addressed to local port j).
+// local batch, or serves it before returning, and returns a Pending that
+// settles when dst is filled with the routed words (dst[j] carries the
+// word addressed to local port j).
 type Shard interface {
 	Inputs() int
 	Submit(ctx context.Context, dst, src []core.Word) (Pending, error)
@@ -265,8 +267,8 @@ func shapeL(a *Assignment) int {
 }
 
 // routeWith runs the three stages: scatter (stage A reshuffle into
-// per-shard batches), shard routing (stage B, asynchronous scatter-gather
-// over Submit/Wait), and the final exchange (stage C) into dst.
+// per-shard batches), shard routing (stage B, scatter-gather over
+// Submit/Wait), and the final exchange (stage C) into dst.
 func (c *Coordinator) routeWith(ctx context.Context, dst, src []core.Word, a *Assignment) error {
 	sc := c.pool.Get().(*scratch)
 	defer c.pool.Put(sc)

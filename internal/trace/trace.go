@@ -79,8 +79,8 @@ type Span struct {
 	// "critical"); empty for untyped submissions and probes.
 	Class string `json:"class,omitempty"`
 	// Shard is the engine queue shard the request was enqueued on, -1 when
-	// the request never reached a shard (rejected, shed, or not an engine
-	// request). Queue-wait attribution by shard shows whether the rotor
+	// the request never reached a shard (rejected, shed, served on its
+	// submitter's goroutine, or not an engine request). Queue-wait attribution by shard shows whether the rotor
 	// spread load or one shard ran hot.
 	Shard int32 `json:"shard"`
 	// Stolen reports the request was moved off its shard by a work-stealing
